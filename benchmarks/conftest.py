@@ -14,6 +14,7 @@ disk.
 
 from __future__ import annotations
 
+import faulthandler
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,21 @@ from repro.experiments.runner import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Seconds one benchmark (setup, call and teardown together) may run
+#: before the whole run is aborted with every thread's traceback on
+#: stderr — far above the slowest benchmark, so it only fires on a
+#: hang, which then fails the run instead of stalling it.
+HANG_TIMEOUT_S = 1800
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 _CONFIGS: dict[str, SyntheticConfig | YahooConfig] = {
     "fig2": FIG2,

@@ -11,9 +11,8 @@ from the same planted generator three ways over identical state:
   tracking) — first over the same slice (labels and modes asserted
   bit-identical, speedup recorded), then over the full wave for the
   headline items/s;
-* **process-chunked extend** — the same pipeline with chunk hashing
-  dispatched to a process pool via a shared-memory request buffer
-  (bit-identical to the serial run).
+* **thread-chunked extend** — the same pipeline with chunk hashing
+  dispatched to a thread pool (bit-identical to the serial run).
 
 Results land in machine-readable
 ``benchmarks/results/BENCH_stream.json`` (a CI bench-smoke artifact)
@@ -104,15 +103,15 @@ def test_stream_ingest_throughput(bootstrapped):
     with capture_metrics() as vec_metrics:
         vec_s, vec_labels = _timed(lambda: vec_stream.extend(wave))
 
-    proc_stream = copy.deepcopy(base)
-    proc_stream.stream = StreamSpec(
-        backend="process", n_jobs=4, chunk_items=4096
+    thread_stream = copy.deepcopy(base)
+    thread_stream.stream = StreamSpec(
+        backend="thread", n_jobs=4, chunk_items=4096
     )
-    with proc_stream:
-        proc_s, proc_labels = _timed(lambda: proc_stream.extend(wave))
-    process_identical = bool(
-        np.array_equal(vec_labels, proc_labels)
-        and np.array_equal(vec_stream.modes_, proc_stream.modes_)
+    with thread_stream:
+        thread_s, thread_labels = _timed(lambda: thread_stream.extend(wave))
+    thread_identical = bool(
+        np.array_equal(vec_labels, thread_labels)
+        and np.array_equal(vec_stream.modes_, thread_stream.modes_)
     )
 
     record = {
@@ -149,12 +148,12 @@ def test_stream_ingest_throughput(bootstrapped):
                 for name, value in vec_stream.extend_stats_.items()
             },
         },
-        "process_chunked_extend": {
+        "thread_chunked_extend": {
             "items": N_STREAM,
-            "seconds": round(proc_s, 6),
-            "items_per_s": round(N_STREAM / proc_s, 1),
+            "seconds": round(thread_s, 6),
+            "items_per_s": round(N_STREAM / thread_s, 1),
             "n_jobs": 4,
-            "identical_to_serial": process_identical,
+            "identical_to_serial": thread_identical,
         },
         # registry view of the full vectorised extend: every extend.*
         # span recorded while the wave streamed in (repro.obs)
@@ -168,7 +167,7 @@ def test_stream_ingest_throughput(bootstrapped):
 
     # correctness gates run everywhere
     assert identical_labels and identical_modes
-    assert process_identical
+    assert thread_identical
     assert push_stream.n_fallbacks_ == slice_stream.n_fallbacks_
 
     # wall-clock gate is local-only (shared CI runners are too noisy)

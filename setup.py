@@ -7,13 +7,4 @@ All metadata lives in ``pyproject.toml``.  This file exists so that
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        # Optional JIT tier for repro.kernels.  The default install is
-        # pure NumPy; the shipped C kernels need only a system C
-        # compiler at runtime.  With this extra installed, backend
-        # selection prefers Numba-compiled kernels (see
-        # src/repro/kernels/__init__.py).
-        "kernels": ["numba>=0.57"],
-    },
-)
+setup()

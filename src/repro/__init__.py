@@ -40,7 +40,7 @@ Package map — each subpackage is documented in its own ``__init__``:
 * :mod:`repro.kmodes` — exhaustive K-Modes baseline
 * :mod:`repro.kmeans` — K-Means / mini-batch / LSH-K-Means (numeric extension)
 * :mod:`repro.lsh` — MinHash, banding, the clustered index, SimHash, p-stable
-* :mod:`repro.engine` — serial/thread/process execution backends, the
+* :mod:`repro.engine` — serial and thread execution backends, the
   sharded index powering parallel fits (``EngineSpec`` / ``backend=``)
   and the persistent worker pools shared with serving
 * :mod:`repro.serve` — :class:`ModelServer`, concurrent batch-predict
@@ -51,10 +51,9 @@ Package map — each subpackage is documented in its own ``__init__``:
 * :mod:`repro.instrumentation` — per-iteration statistics
 * :mod:`repro.obs` — metrics registry, tracing spans, JSON trace
   events and the ``GET /metrics`` Prometheus surface
-* :mod:`repro.resilience` — admission control + micro-batching in
-  front of the server (``ResilienceSpec``), capped-backoff retry
-  policies for worker-crash recovery, and deterministic fault
-  injection for the chaos suite
+* :mod:`repro.resilience` — admission control, micro-batching and
+  deadlines in front of the server (``ResilienceSpec``), and
+  deterministic kernel-delay injection for the deadline tests
 """
 
 from repro.api import (
@@ -92,7 +91,6 @@ from repro.data import (
 )
 from repro.engine import (
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ShardedClusteredLSHIndex,
     ThreadBackend,
@@ -106,7 +104,6 @@ from repro.exceptions import (
     EmptyClusterError,
     NotFittedError,
     OverloadedError,
-    PoolBrokenError,
     ReproError,
     ServerClosedError,
     check_fitted,
@@ -160,7 +157,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "resolve_backend",
     "ShardedClusteredLSHIndex",
     # data
@@ -188,6 +184,5 @@ __all__ = [
     "ServerClosedError",
     "OverloadedError",
     "DeadlineExceededError",
-    "PoolBrokenError",
     "check_fitted",
 ]

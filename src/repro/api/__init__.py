@@ -26,7 +26,7 @@ Quick start::
         "mh-kmodes",
         n_clusters=500,
         lsh=LSHSpec(bands=20, rows=5, seed=0),
-        engine=EngineSpec(backend="process", n_jobs=4),
+        engine=EngineSpec(backend="thread", n_jobs=4),
         train=TrainSpec(max_iter=30),
     )
     artifact = model.fit(X).fitted_model()   # immutable ClusterModel
@@ -44,11 +44,9 @@ from repro.api.registry import (
 )
 from repro.api.specs import (
     BACKEND_NAMES,
-    DEGRADE_POLICIES,
     EMPTY_CLUSTER_POLICIES,
     LSH_FAMILIES,
     PREDICT_FALLBACK_POLICIES,
-    START_METHODS,
     UPDATE_REFS_MODES,
     EngineSpec,
     LSHSpec,
@@ -67,10 +65,8 @@ __all__ = [
     "ResilienceSpec",
     "ServeSpec",
     "StreamSpec",
-    "DEGRADE_POLICIES",
     "LSH_FAMILIES",
     "BACKEND_NAMES",
-    "START_METHODS",
     "UPDATE_REFS_MODES",
     "EMPTY_CLUSTER_POLICIES",
     "PREDICT_FALLBACK_POLICIES",

@@ -37,7 +37,6 @@ LEGACY_PARAMETER_MAP: dict[str, tuple[str, str]] = {
     "n_jobs": ("engine", "n_jobs"),
     "n_shards": ("engine", "n_shards"),
     "chunk_items": ("engine", "chunk_items"),
-    "start_method": ("engine", "start_method"),
     # TrainSpec
     "init": ("train", "init"),
     "max_iter": ("train", "max_iter"),

@@ -187,9 +187,9 @@ class ClusterModel:
 
         The estimator is built from the specs (no deprecation
         warnings), its fitted arrays restored, and — when band keys
-        are present — the clustered index rebuilt in-process
-        regardless of the recorded backend: results are
-        backend-invariant and reconstructing a model should never fork
+        are present — the clustered index rebuilt in the caller's
+        thread regardless of the recorded backend: results are
+        backend-invariant and reconstructing a model should never open
         a worker pool as a side effect.
         """
         cls = get_estimator_class(self.algorithm)

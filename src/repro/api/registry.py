@@ -10,7 +10,7 @@ estimators declaratively::
         "mh-kmodes",
         n_clusters=500,
         lsh=LSHSpec(bands=20, rows=5, seed=0),
-        engine=EngineSpec(backend="process", n_jobs=4),
+        engine=EngineSpec(backend="thread", n_jobs=4),
     )
 
 Examples

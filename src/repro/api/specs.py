@@ -9,7 +9,7 @@ groups first class:
   survey literature treats as *the* declarative description of an
   index (family, bands, rows, quantisation width, seed);
 * :class:`EngineSpec` — where a fit executes (backend, workers,
-  shards, chunking, process start method);
+  shards, chunking);
 * :class:`TrainSpec` — how the clustering loop behaves (initialisation,
   iteration cap, reference-update mode, empty-cluster policy, cost
   tracking, predict fallback);
@@ -28,6 +28,12 @@ compare by value, hash, round-trip through plain dicts
 through JSON), and derive modified copies with :meth:`~Spec.replace`.
 Their ``repr`` shows only non-default fields, so a default spec prints
 as ``LSHSpec()`` and a tuned one shows exactly what was tuned.
+
+Fields that were removed from a spec stay *retired* rather than
+unknown: a persisted model sidecar or ``--spec`` file written before
+the removal still loads when it carries the field's old default, and
+fails with a :class:`~repro.exceptions.ConfigurationError` naming the
+field when it asks for anything else (see :meth:`Spec.from_dict`).
 
 Examples
 --------
@@ -53,19 +59,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
+from typing import Any, ClassVar
 
 import numpy as np
 
+from repro.engine.backends import BACKEND_NAMES, check_backend_name
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "LSH_FAMILIES",
     "BACKEND_NAMES",
-    "START_METHODS",
     "UPDATE_REFS_MODES",
     "EMPTY_CLUSTER_POLICIES",
     "PREDICT_FALLBACK_POLICIES",
-    "DEGRADE_POLICIES",
     "Spec",
     "LSHSpec",
     "EngineSpec",
@@ -79,14 +85,6 @@ __all__ = [
 #: SimHash / p-stable projections for numeric data).
 LSH_FAMILIES = ("minhash", "simhash", "pstable")
 
-#: Execution backends (mirrors ``repro.engine.backends.BACKEND_NAMES``;
-#: duplicated here so the spec layer stays import-light and cycle-free).
-BACKEND_NAMES = ("serial", "thread", "process")
-
-#: Multiprocessing start methods a spec may request; availability on
-#: the current platform is checked when the engine is actually built.
-START_METHODS = ("fork", "spawn", "forkserver")
-
 #: Cluster-reference update modes of the framework loop.
 UPDATE_REFS_MODES = ("online", "batch")
 
@@ -96,11 +94,6 @@ EMPTY_CLUSTER_POLICIES = ("keep", "reinit", "error")
 #: Policies when a novel item's shortlist is empty at predict time
 #: (mirrors ``repro.core.shortlist.FALLBACK_POLICIES``).
 PREDICT_FALLBACK_POLICIES = ("full", "error")
-
-#: What a serving pool does once its retry budget is exhausted
-#: (mirrors ``repro.engine.pool.DEGRADE_POLICIES``; duplicated so the
-#: spec layer stays import-light and cycle-free).
-DEGRADE_POLICIES = ("serial", "error")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -127,6 +120,10 @@ def _require_positive(value, name: str, optional: bool = False) -> None:
 class Spec:
     """Base class giving every spec the same immutable-value protocol."""
 
+    #: Removed fields, each mapped to the default it had: accepted (and
+    #: dropped) at that value, rejected at any other.
+    _retired: ClassVar[dict[str, Any]] = {}
+
     def __post_init__(self) -> None:
         # Normalise numpy scalars to their Python equivalents first:
         # values like np.int64 (the natural output of rng.integers or
@@ -151,6 +148,7 @@ class Spec:
         >>> TrainSpec().replace(max_iter=5)
         TrainSpec(max_iter=5)
         """
+        changes = self._drop_retired(changes)
         unknown = set(changes) - {f.name for f in fields(self)}
         if unknown:
             raise ConfigurationError(
@@ -164,16 +162,39 @@ class Spec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
+    def _drop_retired(cls, data: dict) -> dict:
+        """``data`` without its retired fields (see :attr:`_retired`).
+
+        A retired field holding its old default is dropped, so files
+        written before the field was removed keep loading; any other
+        value raises :class:`ConfigurationError` naming the field,
+        because the behaviour it asked for no longer exists.
+        """
+        for name, default in cls._retired.items():
+            if name in data and data[name] != default:
+                raise ConfigurationError(
+                    f"{cls.__name__}.{name} was removed; only its old "
+                    f"default {default!r} is still accepted, got "
+                    f"{data[name]!r}"
+                )
+        return {k: v for k, v in data.items() if k not in cls._retired}
+
+    @classmethod
     def from_dict(cls, data: dict) -> "Spec":
         """Rebuild a spec from :meth:`to_dict` output (validated).
 
         Unknown keys fail loudly so a typo in a JSON spec file cannot
-        silently fall back to a default.
+        silently fall back to a default; retired keys follow
+        :meth:`_drop_retired`.
+
+        >>> EngineSpec.from_dict({"backend": "thread", "start_method": None})
+        EngineSpec(backend='thread')
         """
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"{cls.__name__}.from_dict needs a dict, got {type(data).__name__}"
             )
+        data = cls._drop_retired(data)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(
@@ -246,8 +267,7 @@ class EngineSpec(Spec):
     Parameters
     ----------
     backend:
-        ``'serial'`` (the paper's exact loop), ``'thread'`` or
-        ``'process'``.
+        ``'serial'`` (the paper's exact loop) or ``'thread'``.
     n_jobs:
         Worker count for parallel backends (``None``: one per CPU).
     n_shards:
@@ -255,32 +275,20 @@ class EngineSpec(Spec):
         unsharded when serial; results are shard-count invariant).
     chunk_items:
         Row-chunk size of the exhaustive setup pass.
-    start_method:
-        Multiprocessing start method for the process backend
-        (``None``: ``'fork'`` where available, platform default
-        elsewhere).
     """
+
+    _retired: ClassVar[dict[str, Any]] = {"start_method": None}
 
     backend: str = "serial"
     n_jobs: int | None = None
     n_shards: int | None = None
     chunk_items: int = 256
-    start_method: str | None = None
 
     def validate(self) -> None:
-        _require_choice(self.backend, "backend", BACKEND_NAMES)
+        check_backend_name(self.backend)
         _require_positive(self.n_jobs, "n_jobs", optional=True)
         _require_positive(self.n_shards, "n_shards", optional=True)
         _require_positive(self.chunk_items, "chunk_items")
-        _require_choice(
-            self.start_method, "start_method", START_METHODS, optional=True
-        )
-        if self.start_method is not None and self.backend != "process":
-            raise ConfigurationError(
-                "start_method applies to backend='process' only, got "
-                f"backend={self.backend!r} with start_method="
-                f"{self.start_method!r}"
-            )
 
 
 @dataclass(frozen=True, repr=False)
@@ -342,14 +350,12 @@ class TrainSpec(Spec):
 
 @dataclass(frozen=True, repr=False)
 class ResilienceSpec(Spec):
-    """How serving behaves under overload and worker failure.
+    """How serving behaves under overload.
 
     Hangs off :attr:`ServeSpec.resilience`; when set,
     :class:`repro.serve.ModelServer` routes ``predict`` through a
-    bounded :class:`~repro.resilience.AdmissionQueue` and arms its
-    :class:`~repro.engine.pool.PersistentPool` with the retry/degrade
-    policy below.  ``None`` (the :class:`ServeSpec` default) keeps the
-    pre-resilience direct dispatch.
+    bounded :class:`~repro.resilience.AdmissionQueue`.  ``None`` (the
+    :class:`ServeSpec` default) keeps the direct dispatch.
 
     Parameters
     ----------
@@ -367,27 +373,21 @@ class ResilienceSpec(Spec):
     batch_window_ms:
         Linger after the first request of a wave arrives so concurrent
         submitters coalesce; ``0`` drains only what is already queued.
-    max_retries, backoff_ms, backoff_max_ms, jitter, seed:
-        The pool's :class:`~repro.resilience.RetryPolicy` after a
-        worker death: retries per dispatch, first-retry delay, delay
-        cap, fractional jitter, and an optional jitter seed for
-        reproducible schedules.
-    degrade:
-        ``'serial'`` answers the request in-process once retries are
-        exhausted; ``'error'`` raises
-        :class:`~repro.exceptions.PoolBrokenError` (HTTP 500).
     """
+
+    _retired: ClassVar[dict[str, Any]] = {
+        "max_retries": 2,
+        "backoff_ms": 50.0,
+        "backoff_max_ms": 2000.0,
+        "jitter": 0.1,
+        "seed": None,
+        "degrade": "serial",
+    }
 
     max_queue_depth: int = 64
     max_in_flight: int = 2
     deadline_ms: int | None = None
     batch_window_ms: int = 0
-    max_retries: int = 2
-    backoff_ms: float = 50.0
-    backoff_max_ms: float = 2000.0
-    jitter: float = 0.1
-    seed: int | None = None
-    degrade: str = "serial"
 
     def validate(self) -> None:
         _require_positive(self.max_queue_depth, "max_queue_depth")
@@ -400,39 +400,6 @@ class ResilienceSpec(Spec):
             f"batch_window_ms must be a non-negative integer, got "
             f"{self.batch_window_ms!r}",
         )
-        _require(
-            isinstance(self.max_retries, int)
-            and not isinstance(self.max_retries, bool)
-            and self.max_retries >= 0,
-            f"max_retries must be a non-negative integer, got "
-            f"{self.max_retries!r}",
-        )
-        for name in ("backoff_ms", "backoff_max_ms"):
-            value = getattr(self, name)
-            _require(
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and value >= 0,
-                f"{name} must be a non-negative number, got {value!r}",
-            )
-        _require(
-            self.backoff_max_ms >= self.backoff_ms,
-            f"backoff_max_ms={self.backoff_max_ms} is below "
-            f"backoff_ms={self.backoff_ms}; the cap cannot undercut the "
-            "first delay",
-        )
-        _require(
-            isinstance(self.jitter, (int, float))
-            and not isinstance(self.jitter, bool)
-            and 0 <= self.jitter <= 1,
-            f"jitter must be a fraction in [0, 1], got {self.jitter!r}",
-        )
-        _require(
-            self.seed is None
-            or (isinstance(self.seed, int) and not isinstance(self.seed, bool)),
-            f"seed must be an int or None, got {self.seed!r}",
-        )
-        _require_choice(self.degrade, "degrade", DEGRADE_POLICIES)
 
 
 @dataclass(frozen=True, repr=False)
@@ -447,8 +414,8 @@ class ServeSpec(Spec):
     Parameters
     ----------
     backend:
-        ``'serial'`` (in-process, no pool), ``'thread'`` or
-        ``'process'``.  Labels are bit-identical on every backend.
+        ``'serial'`` (in the caller's thread, no pool) or ``'thread'``.
+        Labels are bit-identical on every backend.
     n_jobs:
         Worker count for parallel backends (``None``: one per CPU).
     chunk_items:
@@ -459,9 +426,9 @@ class ServeSpec(Spec):
         simply means "one span per worker".
     max_batch:
         Largest number of rows one ``predict`` call accepts.  Bounds
-        the server's request shared-memory buffer (and the byte size
-        the CLI transports accept); oversized requests are rejected,
-        not split.
+        the admission queue's waves and the byte size the CLI
+        transports accept; oversized requests are rejected, not
+        split.
     emit_metrics:
         Keep a per-server :class:`~repro.obs.MetricsRegistry` of
         request latency/batch-size histograms, error counters and an
@@ -471,10 +438,9 @@ class ServeSpec(Spec):
         serial serving throughput by the serving benchmark); ``False``
         turns the registry off entirely, and ``/metrics`` answers 404.
     resilience:
-        Admission-control / retry / degrade configuration (a nested
+        Admission-control configuration (a nested
         :class:`ResilienceSpec`).  ``None`` (default) keeps the direct
-        dispatch path: no queue, no deadlines, pool defaults for
-        worker-death recovery.
+        dispatch path: no queue, no deadlines.
     """
 
     backend: str = "serial"
@@ -486,7 +452,7 @@ class ServeSpec(Spec):
     resilience: "ResilienceSpec | None" = None
 
     def validate(self) -> None:
-        _require_choice(self.backend, "backend", BACKEND_NAMES)
+        check_backend_name(self.backend)
         _require_positive(self.n_jobs, "n_jobs", optional=True)
         _require_positive(self.chunk_items, "chunk_items")
         _require_positive(self.max_batch, "max_batch")
@@ -503,12 +469,6 @@ class ServeSpec(Spec):
             "resilience must be a ResilienceSpec or None, got "
             f"{self.resilience!r}",
         )
-        if self.allow_extend and self.backend == "process":
-            raise ConfigurationError(
-                "allow_extend requires backend 'serial' or 'thread'; "
-                "process workers hold private index copies that an "
-                "extend in the parent could never reach"
-            )
 
     # -- nested-spec round-tripping --------------------------------------
 
@@ -548,10 +508,10 @@ class StreamSpec(Spec):
     Parameters
     ----------
     backend:
-        ``'serial'`` (in-process, the default), ``'thread'`` or
-        ``'process'`` — where chunked signature hashing runs.  The
-        assignment walk itself stays in the caller's process (it is
-        inherently ordered), so parallel backends accelerate the
+        ``'serial'`` (in the caller's thread, the default) or
+        ``'thread'`` — where chunked signature hashing runs.  The
+        assignment walk itself stays in the caller's thread (it is
+        inherently ordered), so the thread backend accelerates the
         MinHash-dominated part of ingestion.
     n_jobs:
         Worker count for parallel backends (``None``: one per CPU).
@@ -566,6 +526,6 @@ class StreamSpec(Spec):
     chunk_items: int = 8192
 
     def validate(self) -> None:
-        _require_choice(self.backend, "backend", BACKEND_NAMES)
+        check_backend_name(self.backend)
         _require_positive(self.n_jobs, "n_jobs", optional=True)
         _require_positive(self.chunk_items, "chunk_items")

@@ -25,13 +25,11 @@ Six subcommands mirror the library's workflow:
   :class:`~repro.api.ServeSpec` persisted next to the model supplies
   the defaults, individual flags override, and ``--allow-extend``
   additionally accepts ``{"op": "extend"}`` streaming-ingest requests.
-  ``--deadline-ms`` / ``--max-queue`` / ``--retries`` /
-  ``--max-in-flight`` arm the admission-control layer
-  (:class:`~repro.api.ResilienceSpec`): a bounded micro-batching queue
-  with structured ``overloaded`` / ``deadline_exceeded`` errors, and
-  worker-crash retry/degrade on the serving pool.  SIGTERM/SIGINT
-  drain in-flight requests (bounded by the deadline) before a clean
-  exit;
+  ``--deadline-ms`` / ``--max-queue`` / ``--max-in-flight`` arm the
+  admission-control layer (:class:`~repro.api.ResilienceSpec`): a
+  bounded micro-batching queue with structured ``overloaded`` /
+  ``deadline_exceeded`` errors.  SIGTERM/SIGINT drain in-flight
+  requests (bounded by the deadline) before a clean exit;
 * ``compare`` — run a named paper experiment (fig2 … fig10) and print
   the paper-style tables (``--backend``/``--jobs`` apply to the MH
   variants);
@@ -54,6 +52,8 @@ from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
+
+from repro.engine.backends import BACKEND_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="default: 0")
     run.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKEND_NAMES,
         default=None,
         help="execution backend for the MH engine (default: serial)",
     )
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ext.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKEND_NAMES,
         default=None,
         help="chunk-hashing backend for extend() (default: serial)",
     )
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("model", help="saved model path (.npz + .json sidecar)")
     srv.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKEND_NAMES,
         default=None,
         help="serving backend (default: the model's saved ServeSpec, else serial)",
     )
@@ -261,16 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     srv.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "pool-respawn retries after a worker death before the "
-            "degrade policy applies (default: 2)"
-        ),
-    )
-    srv.add_argument(
         "--max-in-flight",
         type=int,
         default=None,
@@ -317,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKEND_NAMES,
         default="serial",
         help="execution backend for the MH variants (default: serial)",
     )
@@ -411,14 +401,6 @@ def _resolve_cluster_specs(args: argparse.Namespace):
         )
         if value is not None
     }
-    # A --backend override away from 'process' drops a spec-file
-    # start_method along with the backend it configured.
-    if (
-        args.backend is not None
-        and args.backend != "process"
-        and engine.start_method is not None
-    ):
-        engine_overrides["start_method"] = None
     train_overrides = {
         key: value
         for key, value in (
@@ -478,7 +460,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.algorithm == "mh-kmodes" and engine.backend == "serial" and engine.n_jobs:
         print(
             "warning: --jobs has no effect with the serial backend; "
-            "pass --backend thread or --backend process",
+            "pass --backend thread",
             file=sys.stderr,
         )
     if args.algorithm == "kmodes":
@@ -667,7 +649,6 @@ def _resolve_serve_spec(args: argparse.Namespace, spec):
         for key, value in (
             ("deadline_ms", args.deadline_ms),
             ("max_queue_depth", args.max_queue),
-            ("max_retries", args.retries),
             ("max_in_flight", args.max_in_flight),
         )
         if value is not None
@@ -748,7 +729,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.backend == "serial" and args.jobs:
         print(
             "warning: --jobs has no effect with the serial backend; "
-            "pass --backend thread or --backend process",
+            "pass --backend thread",
             file=sys.stderr,
         )
     config = config.scaled(backend=args.backend, n_jobs=args.jobs)

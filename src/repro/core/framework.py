@@ -92,8 +92,7 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         default spec.
     engine:
         :class:`~repro.api.EngineSpec` — execution backend, worker
-        count, index shard count, setup chunking and process start
-        method.  ``'serial'`` (the default) reproduces the paper's
+        count, index shard count and setup chunking.  ``'serial'`` (the default) reproduces the paper's
         exact loop; results are invariant to backend and shard count.
     train:
         :class:`~repro.api.TrainSpec` — initialisation, ``max_iter``,
@@ -296,9 +295,9 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
 
         Called on a freshly constructed estimator by
         :meth:`ClusterModel.to_estimator`; the index is rebuilt from
-        the band keys in-process (results are backend-invariant and a
-        read-only load should not fork a worker pool as a side
-        effect), honouring the persisted shard count.
+        the band keys in the caller's thread (results are
+        backend-invariant and a read-only load should not open a
+        worker pool as a side effect), honouring the persisted shard count.
         """
         super()._restore_fit_state(model)
         if model.band_keys is not None:

@@ -167,6 +167,26 @@ class MHKModes(BaseLSHAcceleratedClustering):
             )
         return resolve_init(self.init)(X, self.n_clusters, rng)
 
+    def _validate_predict_X(self, X) -> np.ndarray:
+        """Predict-path validation, including the fitted category domain.
+
+        A code at or above the domain the tokens were encoded with
+        would fail inside the signature pass anyway; checking it here
+        rejects the batch before it is queued, so a serving wave that
+        coalesces several requests only ever holds valid matrices.
+        """
+        X = super()._validate_predict_X(X)
+        domain = (
+            self.domain_size
+            if self.domain_size is not None
+            else self._fitted_domain_size
+        )
+        if domain is not None and X.size and int(X.max()) >= domain:
+            raise DataValidationError(
+                f"found code {int(X.max())} >= domain_size {domain}"
+            )
+        return X
+
     def _prepare_signatures(self, X: np.ndarray) -> None:
         # Freeze the inferred domain on the full matrix before any
         # chunked hashing, so chunk-local maxima cannot change tokens.

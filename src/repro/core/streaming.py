@@ -58,7 +58,6 @@ from repro.engine.backends import resolve_backend
 from repro.engine.chunking import chunk_ranges
 from repro.engine.parallel import best_shortlisted_centroids
 from repro.engine.pool import PersistentPool
-from repro.engine.shared import resolve_array
 from repro.exceptions import (
     ConfigurationError,
     DataValidationError,
@@ -451,25 +450,21 @@ class ClusterModeTracker:
 
 
 # ----------------------------------------------------------------------
-# chunked ingest kernel (module-level so the process backend can
-# dispatch it)
+# chunked ingest kernel
 # ----------------------------------------------------------------------
 
 
 @traced("extend.signature_chunk")
 def _stream_signature_chunk(static, dynamic, span: tuple[int, int]) -> np.ndarray:
-    """Kernel: MinHash one row span of the (possibly shared) arrivals.
+    """Kernel: MinHash one row span of the arrivals.
 
     ``static`` pins the hasher and frozen encoding state for the
-    pool's lifetime; ``dynamic`` is the arrival matrix — a
-    :class:`~repro.engine.shared.SharedArray` request buffer for
-    process pools, the array itself for threads.
+    pool's lifetime; ``dynamic`` is the arrival matrix.
     """
     hasher, domain, absent = static
-    X = resolve_array(dynamic)
     start, stop = span
     return hasher.signatures_categorical(
-        X[start:stop], domain_size=domain, absent_code=absent
+        dynamic[start:stop], domain_size=domain, absent_code=absent
     )
 
 
@@ -663,7 +658,6 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
             self._stream_pool = PersistentPool(
                 backend,
                 static=(self._hasher, self._fitted_domain, self.absent_code),
-                metrics=True,  # ship process-worker kernel spans home
             )
         return self._stream_pool
 
@@ -851,13 +845,7 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         assert backend is not None
         per_chunk = -(-X.shape[0] // self.stream.chunk_items)  # ceil
         spans = chunk_ranges(X.shape[0], max(backend.n_jobs, per_chunk))
-        # One shared-memory request buffer per call for process pools
-        # (zero-copy wrapping for threads), released before returning.
-        x_ref = backend.share_array(X)
-        try:
-            chunks = pool.run(_stream_signature_chunk, spans, dynamic=x_ref)
-        finally:
-            x_ref.release()
+        chunks = pool.run(_stream_signature_chunk, spans, dynamic=X)
         return np.concatenate(chunks)
 
     def _require_stream_fallback(self) -> None:

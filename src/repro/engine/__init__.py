@@ -4,10 +4,8 @@ The engine subsystem scales every phase of an LSH-accelerated fit —
 signature hashing, index construction, the per-iteration shortlist
 assignment — across workers, behind one seam:
 
-* :mod:`repro.engine.backends` — ``serial`` / ``thread`` / ``process``
-  :class:`ExecutionBackend` strategies with reusable worker sessions;
-* :mod:`repro.engine.shared` — :class:`SharedArray`, zero-copy /
-  shared-memory transport for bulky read-only arrays;
+* :mod:`repro.engine.backends` — the ``serial`` and ``thread``
+  :class:`ExecutionBackend` choices;
 * :mod:`repro.engine.chunking` — contiguous chunk iterators shared by
   every phase;
 * :mod:`repro.engine.pool` — :class:`PersistentPool`, the worker pool
@@ -30,7 +28,6 @@ counts.
 from repro.engine.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
@@ -38,7 +35,6 @@ from repro.engine.backends import (
 from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.parallel import ClusteringEngine, resolve_engine
 from repro.engine.pool import PersistentPool, live_pool_count
-from repro.engine.shared import SharedArray, resolve_array
 from repro.engine.sharded_index import ShardedClusteredLSHIndex
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "resolve_backend",
     "chunk_ranges",
     "iter_blocks",
@@ -54,7 +49,5 @@ __all__ = [
     "resolve_engine",
     "PersistentPool",
     "live_pool_count",
-    "SharedArray",
-    "resolve_array",
     "ShardedClusteredLSHIndex",
 ]

@@ -10,17 +10,16 @@ exhaustive setup pass to the last iteration:
   own ``_exhaustive_assign`` kernel, merged by concatenation;
 * **signatures** — row chunks through ``_signatures`` after the model
   has frozen any data-dependent encoding state (``_prepare_signatures``
-  runs at session open, *before* process workers snapshot the model);
+  runs at session open, on the full matrix, so no chunk's local
+  statistics can change the encoding);
 * **index build** — one bucket-run task per shard, assembled into a
   :class:`~repro.engine.sharded_index.ShardedClusteredLSHIndex`;
 * **assignment passes** — the per-iteration hot loop.
 
-Bulky state crosses into workers exactly once.  The item matrix rides
-the session's static payload (copy-on-write under ``fork``, a
-:mod:`multiprocessing.shared_memory` segment under ``spawn``); state
-created *after* the pool opened — band keys, the flattened neighbour
-CSR — always travels as shared-memory handles inside the small
-per-task ``dynamic`` tuples (see :mod:`repro.engine.shared`).
+Workers are threads, so nothing is ever copied to them: the item
+matrix rides the pool's static payload by reference, and state created
+*after* the pool opened — band keys, the flattened neighbour CSR —
+travels by reference inside the small per-task ``dynamic`` tuples.
 
 Semantics: with ``update_refs='online'`` the serial backend runs the
 paper's exact per-item pass (reassignments visible to later items in
@@ -45,7 +44,6 @@ import numpy as np
 from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.chunking import chunk_ranges, iter_blocks
 from repro.engine.pool import PersistentPool
-from repro.engine.shared import SharedArray, resolve_array
 from repro.engine.sharded_index import ShardedClusteredLSHIndex, _build_shard_tables
 from repro.exceptions import ConfigurationError
 from repro.lsh.bands import compute_band_keys
@@ -53,7 +51,7 @@ from repro.obs import span as trace_span
 from repro.obs import traced
 from repro.lsh.index import ClusteredLSHIndex
 
-__all__ = ["ClusteringEngine", "backend_from_spec", "resolve_engine"]
+__all__ = ["ClusteringEngine", "resolve_engine"]
 
 #: Rough element budget for one padded ``(rows, smax, m)`` distance
 #: tensor inside a chunk worker; blocks are sliced to stay under it.
@@ -66,7 +64,7 @@ AnyIndex = ClusteredLSHIndex | ShardedClusteredLSHIndex
 
 
 # ----------------------------------------------------------------------
-# kernels (module-level so the process backend can dispatch them)
+# chunk kernels
 # ----------------------------------------------------------------------
 
 
@@ -75,8 +73,7 @@ def _exhaustive_chunk(
     static: tuple, dynamic: tuple, span: tuple[int, int]
 ) -> np.ndarray:
     """Exhaustively assign one row span (labels chunk only)."""
-    model, x_ref = static
-    X = resolve_array(x_ref)
+    model, X = static
     (centroids, labels) = dynamic
     start, stop = span
     chunk_labels, _ = model._exhaustive_assign(
@@ -88,8 +85,7 @@ def _exhaustive_chunk(
 @traced("fit.signature_chunk")
 def _signature_chunk(static: tuple, dynamic: None, span: tuple[int, int]) -> np.ndarray:
     """Signatures of one row span (encoding state already frozen)."""
-    model, x_ref = static
-    X = resolve_array(x_ref)
+    model, X = static
     start, stop = span
     return model._signatures(X[start:stop])
 
@@ -177,12 +173,8 @@ def _assignment_chunk(
     Returns ``(new_labels_chunk, moves, shortlist_total, shortlist_max)``;
     the session merges chunks in task order.
     """
-    model, x_ref = static
-    X = resolve_array(x_ref)
-    centroids, labels, (group_of_ref, indptr_ref, indices_ref) = dynamic
-    group_of = resolve_array(group_of_ref)
-    group_indptr = resolve_array(indptr_ref)
-    group_indices = resolve_array(indices_ref)
+    model, X = static
+    centroids, labels, (group_of, group_indptr, group_indices) = dynamic
     start, stop = span
     k = int(model.n_clusters)
 
@@ -343,10 +335,9 @@ class _ParallelFitSession:
 
     Opening the session spins up the backend's workers exactly once
     (``open_s`` records the cost); the item matrix is pinned as static
-    session state, and everything computed later — band keys, the
-    per-item neighbour CSR — reaches the workers through
-    :class:`~repro.engine.shared.SharedArray` handles riding the small
-    per-task ``dynamic`` tuples.
+    pool state, and everything computed later — band keys, the
+    per-item neighbour CSR — rides the small per-task ``dynamic``
+    tuples by reference.
     """
 
     def __init__(self, engine: "ClusteringEngine", model, X: np.ndarray):
@@ -357,40 +348,20 @@ class _ParallelFitSession:
         backend = engine.backend
         self._backend = backend
         # Freeze data-dependent encoding state (e.g. the inferred token
-        # domain) on the FULL matrix before workers snapshot the model,
-        # so a chunk's local statistics can never change the encoding.
+        # domain) on the FULL matrix before any chunk is hashed, so a
+        # chunk's local statistics can never change the encoding.
         model._prepare_signatures(X)
-        pre_handles: tuple[SharedArray, ...] = ()
-        if backend.inherits_static:
-            x_ref = SharedArray.wrap(X)
-        else:
-            # spawn workers must not receive the matrix through the
-            # initializer pickle; hand it over in shared memory.  The
-            # pool adopts the segment, releasing it even when opening
-            # the session fails.
-            x_ref = backend.share_array(X)
-            pre_handles = (x_ref,)
-        # span-reported pool spin-up: the same Timer reading the old
-        # code published, now also visible in the metrics registry.
         with trace_span("fit.session_open", backend=backend.name) as open_span:
-            self._pool = PersistentPool(
-                backend,
-                (model, x_ref),
-                handles=pre_handles,
-                metrics=True,  # ship process-worker kernel spans home
-            )
+            self._pool = PersistentPool(backend, (model, X))
         self.open_s = open_span.wall_s
         self._index: AnyIndex | None = None
-        self._csr_refs: tuple[SharedArray, SharedArray, SharedArray] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __enter__(self) -> "_ParallelFitSession":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _share(self, array: np.ndarray) -> SharedArray:
-        return self._pool.share(array)
 
     def exhaustive_assign(
         self, centroids: np.ndarray, labels: np.ndarray
@@ -411,10 +382,9 @@ class _ParallelFitSession:
         model = self._model
         shards = self._engine.resolved_shards()
         band_keys = compute_band_keys(signatures, model.bands, model.rows)
-        keys_ref = self._share(band_keys)
         spans = chunk_ranges(self._n, shards)
         runs = self._pool.run(
-            _build_shard_tables, spans, dynamic=(keys_ref, model.bands)
+            _build_shard_tables, spans, dynamic=(band_keys, model.bands)
         )
         self._index = ShardedClusteredLSHIndex.from_shard_runs(
             model.bands,
@@ -429,16 +399,11 @@ class _ParallelFitSession:
 
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
         assert self._index is not None, "build_index must run before passes"
-        if self._csr_refs is None:
-            group_of, indptr, indices = _pass_neighbour_csr(self._index, self._n)
-            self._csr_refs = (
-                self._share(group_of),
-                self._share(indptr),
-                self._share(indices),
-            )
+        if self._csr is None:
+            self._csr = _pass_neighbour_csr(self._index, self._n)
         spans = chunk_ranges(self._n, self._backend.n_jobs)
         results = self._pool.run(
-            _assignment_chunk, spans, dynamic=(centroids, labels, self._csr_refs)
+            _assignment_chunk, spans, dynamic=(centroids, labels, self._csr)
         )
         new_labels = np.concatenate([chunk for chunk, _, _, _ in results])
         moves = sum(chunk_moves for _, chunk_moves, _, _ in results)
@@ -494,8 +459,7 @@ class ClusteringEngine:
         """Open the one session serving every phase of this fit.
 
         Use as a context manager; on parallel backends the worker pool
-        (and any shared-memory segments) lives exactly as long as the
-        session.
+        lives exactly as long as the session.
         """
         if not self.is_parallel:
             return _SerialFitSession(self, model, X)
@@ -549,15 +513,6 @@ class ClusteringEngine:
         )
 
 
-def backend_from_spec(spec) -> ExecutionBackend:
-    """Build the :class:`ExecutionBackend` an ``EngineSpec`` describes."""
-    if spec.backend == "process" and spec.start_method is not None:
-        from repro.engine.backends import ProcessBackend
-
-        return ProcessBackend(spec.n_jobs, start_method=spec.start_method)
-    return resolve_backend(spec.backend, spec.n_jobs)
-
-
 def resolve_engine(
     backend,
     n_jobs: int | None = None,
@@ -579,6 +534,7 @@ def resolve_engine(
                 "the spec; do not pass them separately"
             )
         return ClusteringEngine(
-            backend_from_spec(backend), n_shards=backend.n_shards
+            resolve_backend(backend.backend, backend.n_jobs),
+            n_shards=backend.n_shards,
         )
     return ClusteringEngine(resolve_backend(backend, n_jobs), n_shards=n_shards)

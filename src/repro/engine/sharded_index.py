@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.chunking import chunk_ranges
-from repro.engine.shared import resolve_array
+from repro.engine.pool import PersistentPool
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.lsh.index import (
     BandRuns,
@@ -53,13 +53,10 @@ ShardTables = list[dict[int, np.ndarray]]
 def _build_shard_tables(static, dynamic, span: tuple[int, int]) -> BandRuns:
     """Kernel: sort one shard's slice of the band keys into bucket runs.
 
-    ``dynamic`` is ``(band_keys_ref, bands)`` where the keys travel as
-    a :class:`~repro.engine.shared.SharedArray` (zero-copy / shared
-    memory) or a plain array; ``static`` is whatever the enclosing
-    session pinned and is not consulted here.
+    ``dynamic`` is ``(band_keys, bands)``; ``static`` is whatever the
+    enclosing pool pinned and is not consulted here.
     """
-    band_keys_ref, bands = dynamic
-    band_keys = resolve_array(band_keys_ref)
+    band_keys, bands = dynamic
     return band_runs(band_keys, bands, span[0], span[1])
 
 
@@ -199,13 +196,10 @@ class ShardedClusteredLSHIndex(BaseClusteredIndex):
         self, band_keys: np.ndarray, backend: ExecutionBackend
     ) -> list[BandRuns]:
         spans = chunk_ranges(len(band_keys), self.n_shards)
-        keys_ref = backend.share_array(band_keys)
-        try:
-            return backend.run(
-                _build_shard_tables, spans, dynamic=(keys_ref, self.bands)
+        with PersistentPool(backend) as pool:
+            return pool.run(
+                _build_shard_tables, spans, dynamic=(band_keys, self.bands)
             )
-        finally:
-            keys_ref.release()
 
     def _finalise_from_runs(
         self,

@@ -19,7 +19,6 @@ __all__ = [
     "ServerClosedError",
     "OverloadedError",
     "DeadlineExceededError",
-    "PoolBrokenError",
     "check_fitted",
 ]
 
@@ -94,16 +93,6 @@ class DeadlineExceededError(ReproError, TimeoutError):
     The request is abandoned (its result, if any, is discarded) but the
     serving pool is untouched — the next request proceeds normally.
     Maps to HTTP 504 with error code ``"deadline_exceeded"``.
-    """
-
-
-class PoolBrokenError(ReproError, RuntimeError):
-    """A worker pool died and could not (or may not) be recovered.
-
-    Raised when a :class:`~repro.engine.pool.PersistentPool` exhausts
-    its restart budget and the configured degrade policy is
-    ``'error'``, or when respawning the pool itself fails.  Maps to
-    HTTP 500 with error code ``"pool_broken"``.
     """
 
 

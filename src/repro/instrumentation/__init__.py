@@ -8,6 +8,6 @@ into the paper's figures without re-running anything.
 """
 
 from repro.instrumentation.stats import IterationStats, RunStats
-from repro.instrumentation.timer import StageTimer, Timer
+from repro.instrumentation.timer import Timer
 
-__all__ = ["IterationStats", "RunStats", "Timer", "StageTimer"]
+__all__ = ["IterationStats", "RunStats", "Timer"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from types import TracebackType
 
-__all__ = ["Timer", "StageTimer"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -53,54 +53,3 @@ class Timer:
             return 0.0
         return time.perf_counter() - self._start
 
-
-class StageTimer:
-    """Accumulates named stage durations (setup, assign, update, ...).
-
-    Examples
-    --------
-    >>> timer = StageTimer()
-    >>> with timer.stage("assign"):
-    ...     _ = sum(range(1000))
-    >>> "assign" in timer.totals
-    True
-    """
-
-    def __init__(self) -> None:
-        self.totals: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
-
-    class _Stage:
-        def __init__(self, owner: "StageTimer", name: str) -> None:
-            self._owner = owner
-            self._name = name
-            self._timer = Timer()
-
-        def __enter__(self) -> "StageTimer._Stage":
-            self._timer.__enter__()
-            return self
-
-        def __exit__(
-            self,
-            exc_type: type[BaseException] | None,
-            exc: BaseException | None,
-            tb: TracebackType | None,
-        ) -> None:
-            self._timer.__exit__(exc_type, exc, tb)
-            self._owner.totals[self._name] = (
-                self._owner.totals.get(self._name, 0.0) + self._timer.elapsed_s
-            )
-            self._owner.counts[self._name] = self._owner.counts.get(self._name, 0) + 1
-
-    def stage(self, name: str) -> "_Stage":
-        """Return a context manager accumulating into stage ``name``."""
-        return StageTimer._Stage(self, name)
-
-    def total(self, name: str) -> float:
-        """Total seconds recorded for ``name`` (0.0 if never entered)."""
-        return self.totals.get(name, 0.0)
-
-    def mean(self, name: str) -> float:
-        """Mean seconds per entry for ``name`` (0.0 if never entered)."""
-        count = self.counts.get(name, 0)
-        return self.totals.get(name, 0.0) / count if count else 0.0

@@ -15,31 +15,33 @@ implementations of both behind a single selection seam:
 
 Backends, in selection order under ``REPRO_KERNELS=auto`` (default):
 
-``numba``
-    :func:`numba.njit`-compiled versions of the loop kernels in
-    :mod:`repro.kernels._reference` — used when the optional
-    ``repro[kernels]`` extra is installed.
 ``c``
     The shipped C source (``_kernels.c``) compiled on demand with the
     system C compiler and driven through :mod:`ctypes`
     (:mod:`repro.kernels._cbuild`).
 ``numpy``
     The vectorised fallback (:mod:`repro.kernels._numpy`) — always
-    available, and the conformance oracle for the other two.
+    available.
+
+The plain loop kernels in :mod:`repro.kernels._reference` are the
+conformance oracle both backends are tested against.
 
 Set ``REPRO_KERNELS=off`` (or ``numpy``) to force the fallback
-silently; ``REPRO_KERNELS=c`` / ``numba`` to require a specific
-compiled backend (falls back with one :class:`RuntimeWarning` if it
-cannot be built).  Under ``auto`` the degradation to NumPy also emits
-exactly one :class:`RuntimeWarning` per process.
+silently; ``REPRO_KERNELS=c`` to require the compiled backend (falls
+back with one :class:`RuntimeWarning` if it cannot be built).  Under
+``auto`` the degradation to NumPy also emits exactly one
+:class:`RuntimeWarning` per process; any other value warns that it is
+not recognised and selects as ``auto``.
 
 Every backend is bit-identical on the supported domain (tokens and
 coefficients below ``2**31``, category codes within the tensor
 capacity); ``tests/kernels/`` enforces this, and the extend/hot-pass
-property suites pin the end-to-end behaviour.  Selection is lazy (first
-kernel call) and per-process, so ``PersistentPool`` workers re-resolve
-after fork/spawn — nothing ctypes- or JIT-owned ever crosses a pickle
-boundary.
+property suites pin the end-to-end behaviour.  Selection is lazy
+(first kernel call), once per process and thread-safe, so every
+``PersistentPool`` worker thread shares the one resolved backend.  The
+compiled kernels are single-threaded: parallelism lives in the engine's
+thread backend, whose workers each run a kernel call on their own
+chunk (ctypes releases the GIL for the call).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = ["minhash_signatures", "count_update", "active_backend"]
 
 _lock = threading.Lock()
 
-#: Resolved backend name ("numba" | "c" | "numpy"), or None before the
+#: Resolved backend name ("c" | "numpy"), or None before the
 #: first kernel call.
 _backend: str | None = None
 
@@ -74,54 +76,12 @@ def _requested() -> str:
         return "numpy"
     if value in ("c", "cc", "ctypes"):
         return "c"
-    if value == "numba":
-        return "numba"
     warnings.warn(
         f"REPRO_KERNELS={value!r} not recognised; using auto selection",
         RuntimeWarning,
         stacklevel=3,
     )
     return "auto"
-
-
-def _try_numba():
-    """Build the numba tier if the optional extra is installed."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    return _build_numba(numba)  # pragma: no cover
-
-
-def _build_numba(numba):  # pragma: no cover - requires repro[kernels]
-    """JIT-compile the loop kernels from :mod:`repro.kernels._reference`."""
-    from repro.kernels import _reference
-
-    jit_minhash = numba.njit(cache=True)(_reference.minhash_signatures_loop)
-    jit_counts = numba.njit(cache=True)(_reference.count_update_loop)
-
-    def minhash(indices, indptr, a, b, empty_slot):
-        out = np.empty((len(indptr) - 1, len(a)), dtype=np.int64)
-        return jit_minhash(indices, indptr, a, b, empty_slot, out)
-
-    def counts(dense, values, labels):
-        order = np.argsort(labels, kind="stable")
-        new_counts = np.empty(values.shape, dtype=np.int64)
-        return jit_counts(dense, values, labels, order, new_counts)
-
-    try:
-        # Trigger compilation now so a broken install degrades to the
-        # next tier instead of failing mid-batch.
-        minhash(
-            np.zeros(0, dtype=np.int64),
-            np.zeros(2, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            0,
-        )
-    except Exception:
-        return None
-    return minhash, counts
 
 
 def _try_c():
@@ -148,19 +108,12 @@ def _select() -> None:
         if _backend is not None:
             return
         requested = _requested()
-        candidates = {
-            "auto": ("numba", "c"),
-            "numba": ("numba",),
-            "c": ("c",),
-            "numpy": (),
-        }[requested]
-        for name in candidates:
-            pair = _try_numba() if name == "numba" else _try_c()
+        if requested != "numpy":
+            pair = _try_c()
             if pair is not None:
                 _impl_minhash, _impl_counts = pair
-                _backend = name
+                _backend = "c"
                 return
-        if candidates:
             # A compiled backend was wanted but none could be built:
             # degrade loudly (once), never incorrectly.
             warnings.warn(
@@ -185,8 +138,7 @@ def _reset_backend() -> None:
 
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: ``"numba"``, ``"c"`` or
-    ``"numpy"``.
+    """Name of the kernel backend in use: ``"c"`` or ``"numpy"``.
 
     Resolves the backend on first call; the result is stable for the
     rest of the process (or until ``_reset_backend()`` in tests).

@@ -19,8 +19,9 @@
  * (UniversalHashFamily._reduce) performs.
  *
  * Compiled on demand by repro/kernels/_cbuild.py with the system C
- * compiler; OpenMP is used when available (item rows are independent,
- * so thread count never changes a result).
+ * compiler.  Both kernels are single-threaded; the engine's thread
+ * backend runs one call per chunk in parallel (ctypes releases the
+ * GIL), so parallelism lives in exactly one place.
  */
 
 #include <stdint.h>
@@ -49,9 +50,6 @@ void repro_minhash_signatures(
     int64_t *out)
 {
     int64_t i;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 32)
-#endif
     for (i = 0; i < n_items; i++) {
         uint64_t *row = (uint64_t *)(out + i * n_hashes);
         const int64_t start = indptr[i];
@@ -96,9 +94,6 @@ void repro_count_update(
     /* Gather every triple's count after the whole batch landed, so
      * duplicate triples all read the same final value (the contract
      * the incremental-argmax update relies on). */
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
     for (r = 0; r < n_rows; r++) {
         const int64_t *vrow = values + r * n_attrs;
         const int64_t *block = dense + labels[r] * n_attrs * capacity;

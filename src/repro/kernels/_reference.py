@@ -1,15 +1,10 @@
 """Loop-form kernel reference implementations.
 
 These functions express the two hot-path kernels as plain element-wise
-loops over preallocated arrays.  They serve two roles:
-
-* **oracle** — the conformance suite recomputes small cases through
-  them (they are the most direct transcription of the semantics, with
-  no vectorisation tricks to hide a bug);
-* **JIT source** — they are written in the nopython-compatible subset
-  of Python, so the optional Numba backend (``pip install
-  repro[kernels]``) compiles these exact functions with ``numba.njit``
-  — one set of semantics, three executions (C / Numba / NumPy).
+loops over preallocated arrays.  They are the conformance oracle: the
+suite recomputes small cases through them (they are the most direct
+transcription of the semantics, with no vectorisation tricks to hide a
+bug) and checks both the C and the NumPy backends against them.
 
 Keep them free of Python objects, closures and fancy indexing.
 """

@@ -101,7 +101,7 @@ def band_runs(band_keys: np.ndarray, bands: int, start: int, stop: int) -> BandR
 
     Returns one compact ``(bucket_keys, starts, order)`` triple per
     band — three arrays instead of one tiny array per bucket, so a
-    process backend ships O(bands) buffers back, not O(buckets).
+    shard build returns O(bands) buffers, not O(buckets).
     ``order`` holds *global* item ids (local argsort order plus the
     span offset); :func:`tables_from_runs` slices it into the per-key
     dict without copying.
@@ -422,8 +422,8 @@ class BaseClusteredIndex:
         A frozen index rejects every mutation — :meth:`insert`,
         :meth:`update_assignment`, :meth:`set_assignments`,
         :meth:`assignments_view` — and marks its item buffers
-        non-writable, so any number of threads (or forked serving
-        workers) can query it concurrently without a lock.  This is the
+        non-writable, so any number of threads can query it
+        concurrently without a lock.  This is the
         mode :class:`repro.serve.ModelServer` rebuilds persisted
         indexes into; training always works on unfrozen indexes.
         """

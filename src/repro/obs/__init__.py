@@ -5,9 +5,9 @@ keeps the paper-shaped ``Timer``/``RunStats`` primitives) into the
 production-facing one:
 
 * :class:`MetricsRegistry` — process-local counters / gauges /
-  fixed-bucket histograms with a snapshot/merge protocol that ships
-  process-pool worker time home (:func:`capture_metrics` +
-  :meth:`~repro.obs.registry.MetricsRegistry.merge`);
+  fixed-bucket histograms with a snapshot/merge protocol
+  (:meth:`~repro.obs.registry.MetricsRegistry.merge`), and
+  :func:`capture_metrics` to scope a measurement to one block;
 * :class:`span` / :class:`PhaseSpans` — the one wall-clock emitter
   behind ``RunStats.phase_s``, ``extend_stats_`` and the serving
   request metrics, nesting per thread and feeding the registry;

@@ -12,11 +12,9 @@ the design:
 * **Snapshot/merge.**  :meth:`MetricsRegistry.snapshot` renders the
   whole registry into a JSON-safe dict and
   :meth:`MetricsRegistry.merge` folds such a dict back in (counters
-  and histograms add, gauges last-write-win).  This is the transport
-  that attributes process-pool worker time to the parent: workers
-  capture a fresh registry around each kernel call
-  (:func:`capture_metrics`) and ship the delta home with the result
-  (see :meth:`repro.engine.backends.BackendSession.run_metered`).
+  and histograms add, gauges last-write-win).  A server merges its
+  private request registry with the process default this way, and
+  :func:`capture_metrics` scopes a measurement to one block.
 * **Prometheus text.**  :meth:`MetricsRegistry.to_prometheus` renders
   the standard exposition format served by ``GET /metrics``.
 """
@@ -467,9 +465,8 @@ def metrics() -> MetricsRegistry:
     """The process-local default registry.
 
     Spans (:func:`repro.obs.span`) record here unless pointed at a
-    private registry, and process-pool workers capture deltas of it to
-    ship home — each worker process has its own, so the counters never
-    race across processes.
+    private registry — including spans recorded on engine worker
+    threads, which share the process and therefore this registry.
     """
     return _default_registry
 
@@ -480,12 +477,12 @@ def capture_metrics():
 
     Yields the fresh registry; everything recorded through
     :func:`metrics` inside the block lands there, and the previous
-    default is restored afterwards.  This is how process-pool workers
-    measure exactly one kernel call's delta (fork-inherited parent
-    counts never leak in), and how benchmarks scope a measurement to
-    one run.  Swapping a module global is not async-signal safe across
-    threads — confine concurrent use to the worker/bench patterns
-    above.
+    default is restored afterwards.  This is how tests and benchmarks
+    scope a measurement to one run.  Swapping a module global is not
+    atomic with respect to other threads' recording — a span that
+    another thread records while the swap happens may land in either
+    registry, so capture around work whose threads start and finish
+    inside the block.
     """
     global _default_registry
     previous = _default_registry

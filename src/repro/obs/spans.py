@@ -131,11 +131,8 @@ def traced(name: str, registry: MetricsRegistry | None = None):
     """Decorator form of :class:`span` — wrap every call of a function.
 
     Used on the engine's worker kernels: each kernel call records one
-    ``repro_span_*`` sample into its process-local default registry,
-    which process pools then ship home (see
-    :meth:`repro.engine.backends.BackendSession.run_metered`).  The
-    wrapper stays a module-level name, so decorated kernels remain
-    picklable for process dispatch.
+    ``repro_span_*`` sample into the process-local default registry,
+    from whichever worker thread runs it.
     """
 
     def decorate(fn):

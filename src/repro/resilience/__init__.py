@@ -1,15 +1,13 @@
-"""repro.resilience — admission control, retries, and fault injection.
+"""repro.resilience — admission control and fault injection.
 
-The serving stack's failure-handling toolkit, in three parts:
+The serving stack's overload toolkit, in two parts:
 
 * :class:`AdmissionQueue` (``queue.py``) — bounded admission +
-  micro-batching in front of :class:`repro.serve.ModelServer`;
-* :class:`RetryPolicy` / :func:`retry_call` (``retry.py``) — capped
-  exponential backoff with jitter, driving the pool-respawn loop in
-  :class:`repro.engine.pool.PersistentPool`;
+  micro-batching in front of :class:`repro.serve.ModelServer`, with
+  per-request deadlines;
 * :class:`FaultPlan` / :func:`inject_faults` (``faults.py``) —
-  deterministic worker-kill/drop/delay injection for the chaos suite
-  in ``tests/resilience/``.
+  deterministic kernel delays for the deadline and shutdown tests in
+  ``tests/resilience/``.
 
 Configuration lives in :class:`repro.api.ResilienceSpec`, hanging off
 :class:`repro.api.ServeSpec`.
@@ -18,27 +16,19 @@ Configuration lives in :class:`repro.api.ResilienceSpec`, hanging off
 from repro.resilience.faults import (
     FaultPlan,
     FaultState,
-    InjectedPoolFault,
     active_faults,
     clear_faults,
-    faulted_kernel,
     inject_faults,
     install_faults,
 )
 from repro.resilience.queue import AdmissionQueue
-from repro.resilience.retry import RetryPolicy, compute_backoff_s, retry_call
 
 __all__ = [
     "AdmissionQueue",
-    "RetryPolicy",
-    "compute_backoff_s",
-    "retry_call",
     "FaultPlan",
     "FaultState",
-    "InjectedPoolFault",
     "active_faults",
     "install_faults",
     "clear_faults",
     "inject_faults",
-    "faulted_kernel",
 ]

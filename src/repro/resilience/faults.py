@@ -1,30 +1,11 @@
-"""Deterministic fault injection for the chaos test suite.
+"""Deterministic fault injection for the deadline and shutdown tests.
 
-Production code cannot be trusted to recover from worker death unless
-something actually kills workers, on schedule, in tests.  This module
-is that schedule.  A :class:`FaultPlan` names which kernel invocations
-misbehave — counted globally, 1-based, across every worker and retry —
-and :func:`inject_faults` arms it:
-
-* ``kill_on_chunks`` — the worker executing the n-th kernel call dies
-  with ``SIGKILL`` mid-chunk, exactly the failure a crashed or
-  OOM-killed process produces (process pools report it as
-  ``BrokenProcessPool``);
-* ``drop_on_chunks`` — the n-th kernel call raises
-  :class:`InjectedPoolFault`, which the pool treats as a lost result.
-  Because no process actually dies, drop faults exercise the whole
-  respawn/retry/degrade machinery on *serial and thread* backends too,
-  which is what lets the hypothesis chaos suite run hundreds of fault
-  schedules in seconds;
-* ``delay_s`` — every kernel call sleeps first, for deadline tests.
-
-The call counter is a :class:`multiprocessing.Value`, created when the
-plan is installed, so fork-inherited workers and the parent share one
-atomic count: "kill on chunk 3" kills exactly one worker exactly once,
-and the respawned pool — whose fresh workers inherit the already-spent
-counter — sails through the retry.  **Install the plan before the pool
-(or server) is built**: fork workers only see globals that existed
-when they were forked.
+Deadline, drain and overload behaviour cannot be tested unless
+something makes kernels slow, on schedule.  A :class:`FaultPlan` says
+how slow: ``delay_s`` makes every kernel call a pool dispatches sleep
+first.  :func:`inject_faults` arms the plan process-wide; the armed
+:class:`FaultState` counts every kernel call it wrapped
+(:attr:`FaultState.chunks_seen`, 1-based, across all worker threads).
 
 :meth:`repro.engine.pool.PersistentPool.run` checks
 :func:`active_faults` once per dispatch; when no plan is armed the
@@ -34,9 +15,7 @@ production path pays a single global read and nothing else.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import os
-import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -45,7 +24,6 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "FaultPlan",
     "FaultState",
-    "InjectedPoolFault",
     "active_faults",
     "install_faults",
     "clear_faults",
@@ -53,37 +31,17 @@ __all__ = [
 ]
 
 
-class InjectedPoolFault(Exception):
-    """A simulated lost result (the ``drop`` fault).
-
-    Deliberately *not* a :class:`~repro.exceptions.ReproError`: the
-    pool's broken-dispatch detection must treat it exactly like the
-    infrastructure failures it stands in for.
-    """
-
-
 @dataclass(frozen=True)
 class FaultPlan:
-    """Which kernel invocations misbehave (all counts global, 1-based).
+    """How every kernel call misbehaves while the plan is armed.
 
-    >>> FaultPlan(kill_on_chunks=(3,), delay_s=0.0)
-    FaultPlan(kill_on_chunks=(3,), drop_on_chunks=(), delay_s=0.0)
+    >>> FaultPlan(delay_s=0.25)
+    FaultPlan(delay_s=0.25)
     """
 
-    kill_on_chunks: tuple[int, ...] = ()
-    drop_on_chunks: tuple[int, ...] = ()
     delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("kill_on_chunks", "drop_on_chunks"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple) or not all(
-                isinstance(n, int) and n >= 1 for n in value
-            ):
-                raise ConfigurationError(
-                    f"{name} must be a tuple of 1-based chunk numbers, "
-                    f"got {value!r}"
-                )
         if not isinstance(self.delay_s, (int, float)) or self.delay_s < 0:
             raise ConfigurationError(
                 f"delay_s must be a non-negative number, got {self.delay_s!r}"
@@ -91,41 +49,37 @@ class FaultPlan:
 
 
 class FaultState:
-    """An armed :class:`FaultPlan` plus its cross-process call counter."""
+    """An armed :class:`FaultPlan` plus its kernel-call counter."""
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        # Shared across fork so a kill fires exactly once no matter
-        # which worker draws the fatal chunk, and respawned workers
-        # inherit the spent count instead of dying again.
-        self._counter = multiprocessing.Value("q", 0)
+        self._lock = threading.Lock()
+        self._calls = 0
 
     @property
     def chunks_seen(self) -> int:
-        """Kernel invocations counted so far (across all processes)."""
-        with self._counter.get_lock():
-            return int(self._counter.value)
+        """Kernel invocations counted so far (across all worker threads)."""
+        with self._lock:
+            return self._calls
 
     def on_chunk(self) -> None:
-        """Called by the fault-wrapping kernel before the real kernel.
-
-        Runs wherever the kernel runs — in-process for serial/thread
-        backends, inside the worker for process pools.
-        """
-        with self._counter.get_lock():
-            self._counter.value += 1
-            n = int(self._counter.value)
+        """Count one kernel call, then apply the plan's delay."""
+        with self._lock:
+            self._calls += 1
         if self.plan.delay_s:
             time.sleep(self.plan.delay_s)
-        if n in self.plan.kill_on_chunks:
-            # Die the way real workers die: no exception, no cleanup.
-            os.kill(os.getpid(), signal.SIGKILL)
-        if n in self.plan.drop_on_chunks:
-            raise InjectedPoolFault(f"injected drop on chunk {n}")
+
+    def wrap(self, fn):
+        """``fn`` with :meth:`on_chunk` run before every call."""
+
+        def faulted(static, dynamic, task):
+            self.on_chunk()
+            return fn(static, dynamic, task)
+
+        return faulted
 
 
-#: The armed plan, if any.  A module global so fork-created workers
-#: inherit it for free; ``None`` keeps the production path one read.
+#: The armed plan, if any; ``None`` keeps the production path one read.
 _ACTIVE: FaultState | None = None
 
 
@@ -135,11 +89,7 @@ def active_faults() -> FaultState | None:
 
 
 def install_faults(plan: FaultPlan) -> FaultState:
-    """Arm ``plan`` process-wide; returns its :class:`FaultState`.
-
-    Arms *before* any pool under test is created — fork workers see
-    the plan only if it existed at fork time.
-    """
+    """Arm ``plan`` process-wide; returns its :class:`FaultState`."""
     global _ACTIVE
     if _ACTIVE is not None:
         raise ConfigurationError(
@@ -160,9 +110,9 @@ def clear_faults() -> None:
 def inject_faults(plan: FaultPlan):
     """Context manager: arm ``plan``, yield its state, always disarm.
 
-    >>> with inject_faults(FaultPlan(drop_on_chunks=(1,))) as state:
-    ...     state.plan.drop_on_chunks
-    (1,)
+    >>> with inject_faults(FaultPlan(delay_s=0.0)) as state:
+    ...     state.chunks_seen
+    0
     >>> active_faults() is None
     True
     """
@@ -171,17 +121,3 @@ def inject_faults(plan: FaultPlan):
         yield state
     finally:
         clear_faults()
-
-
-def faulted_kernel(static, dynamic, task):
-    """Kernel wrapper: ``task`` is ``(real_fn, real_task)``.
-
-    Module-level (and so picklable) so process pools can dispatch it;
-    reads the fault state from its own process's module global, which
-    fork workers inherited at pool-creation time.
-    """
-    fn, real_task = task
-    state = active_faults()
-    if state is not None:
-        state.on_chunk()
-    return fn(static, dynamic, real_task)

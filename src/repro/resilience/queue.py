@@ -101,8 +101,7 @@ class AdmissionQueue:
         Dispatcher threads, i.e. concurrent predict waves.
     max_wave_rows:
         Row cap per concatenated wave (the server passes its
-        ``max_batch``, which also bounds the process-backend request
-        buffer).
+        ``max_batch``).
     deadline_ms:
         Per-request deadline covering queue wait + execution
         (``None``: requests wait indefinitely).

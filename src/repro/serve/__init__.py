@@ -25,7 +25,7 @@ Quick start::
     from repro.serve import ModelServer
 
     server = ModelServer.from_path(
-        "model", spec=ServeSpec(backend="process", n_jobs=4)
+        "model", spec=ServeSpec(backend="thread", n_jobs=4)
     )
     with server:
         labels = server.predict(X)          # chunked across the pool

@@ -11,20 +11,12 @@ rows: the batch is split into contiguous spans (at most
 :func:`~repro.engine.chunking.chunk_ranges`, every span runs the
 estimator's own batched shortlist ``predict`` — the same code path
 ``ClusterModel.predict`` uses — and the label chunks concatenate back
-in row order.  Chunking therefore never changes a label: serial,
-threaded and process-parallel serving are bit-identical, which the
-property suite in ``tests/properties/test_serve_equivalence.py``
-asserts exhaustively.
-
-Process pools cannot see a request's matrix through fork copy-on-write
-(the pool predates the request), so the server keeps one shared-memory
-**request buffer** of ``spec.max_batch`` rows: the batch is copied in
-once, workers attach to the segment via its
-:class:`~repro.engine.shared.SharedArray` descriptor, and only the
-small label chunks ride the result pickles.  A lock serialises buffer
-use, so any number of caller threads may hammer one server; thread
-and serial backends need no buffer (shared address space) and dispatch
-concurrently.
+in row order.  Chunking therefore never changes a label: serial and
+threaded serving are bit-identical, which the property suite in
+``tests/properties/test_serve_equivalence.py`` asserts exhaustively.
+Workers share the caller's address space, so a request's matrix
+reaches them by reference, and any number of caller threads may
+dispatch concurrently.
 
 With ``ServeSpec(allow_extend=True)`` the server additionally accepts
 **streaming ingest**: :meth:`ModelServer.extend` assigns a batch
@@ -33,9 +25,7 @@ the (insertable, unfrozen) index with
 :meth:`~repro.lsh.index.BaseClusteredIndex.insert_batch`, so later
 requests shortlist against them.  The model's centroids stay fixed —
 serving never retrains — and a mutation lock serialises requests while
-streaming is on (the index is being written).  Process backends are
-rejected for streaming servers: their workers hold private index
-copies an insert in the parent could never reach.
+streaming is on (the index is being written).
 """
 
 from __future__ import annotations
@@ -52,7 +42,6 @@ from repro.api.specs import ServeSpec
 from repro.engine.backends import resolve_backend
 from repro.engine.chunking import chunk_ranges
 from repro.engine.pool import PersistentPool
-from repro.engine.shared import SharedArray, resolve_array
 from repro.exceptions import (
     ConfigurationError,
     DataValidationError,
@@ -66,23 +55,19 @@ from repro.obs import (
     traced,
 )
 from repro.resilience.queue import AdmissionQueue
-from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ModelServer"]
 
 
 @traced("serve.predict_chunk")
 def _predict_chunk(static, dynamic, span: tuple[int, int]) -> np.ndarray:
-    """Kernel: predict one row span of the (possibly shared) matrix.
+    """Kernel: predict one row span of the request matrix.
 
     ``static`` is the serving estimator (frozen index), pinned for the
-    pool's lifetime; ``dynamic`` is the request matrix — a
-    :class:`~repro.engine.shared.SharedArray` descriptor of the request
-    buffer for process pools, the array itself for threads.
+    pool's lifetime; ``dynamic`` is the request matrix.
     """
     start, stop = span
-    X = resolve_array(dynamic)
-    return static.predict(X[start:stop])
+    return static.predict(dynamic[start:stop])
 
 
 @traced("serve.extend_chunk")
@@ -94,11 +79,10 @@ def _extend_chunk(
     The streaming-ingest variant of :func:`_predict_chunk`: MinHash is
     the dominant per-row cost, and the caller needs the signatures
     again for ``insert_batch`` — so the chunk hashes once and returns
-    ``(labels, signatures)``.  Only dispatched on shared-address-space
-    pools (``allow_extend`` rejects process backends).
+    ``(labels, signatures)``.
     """
     start, stop = span
-    X = resolve_array(dynamic)[start:stop]
+    X = dynamic[start:stop]
     signatures = static._signatures(X)
     return static._predict_from_signatures(X, signatures), signatures
 
@@ -162,7 +146,6 @@ class ModelServer:
             # every worker queries the same read-only structure.
             self._estimator = model.frozen_estimator()
         self._backend = resolve_backend(spec.backend, spec.n_jobs)
-        self._buffer_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         # Serialises whole requests while the index is mutable
         # (allow_extend); read-only serving stays lock-free.
@@ -173,46 +156,23 @@ class ModelServer:
         self._items = 0
         self._extended = 0
         self._closed = False
-        self._x_buffer: SharedArray | None = None
         # Per-server metrics (ServeSpec.emit_metrics): request counters,
         # latency/batch histograms and the in-flight gauge live in a
-        # private registry so several servers in one process never mix;
-        # process pools additionally merge their workers' kernel spans
-        # here (the snapshot/merge protocol in repro.obs).
+        # private registry so several servers in one process never mix.
         self.metrics: MetricsRegistry | None = (
             MetricsRegistry() if spec.emit_metrics else None
         )
         if self.metrics is not None:
             self._init_instruments()
-        # Worker-death recovery: the pool's retry/degrade policy comes
-        # from the resilience spec when one is set, pool defaults
-        # otherwise (worker crashes are survivable either way).
-        resilience = spec.resilience
-        retry_policy = None
-        degrade = "serial"
-        if resilience is not None:
-            retry_policy = RetryPolicy(
-                max_retries=resilience.max_retries,
-                backoff_ms=resilience.backoff_ms,
-                backoff_max_ms=resilience.backoff_max_ms,
-                jitter=resilience.jitter,
-                seed=resilience.seed,
-            )
-            degrade = resilience.degrade
         self._pool: PersistentPool | None = None
         if self._backend.is_parallel:
-            self._pool = PersistentPool(
-                self._backend,
-                static=self._estimator,
-                metrics=self.metrics,
-                retry_policy=retry_policy,
-                degrade=degrade,
-            )
+            self._pool = PersistentPool(self._backend, static=self._estimator)
         # Admission control: with a resilience spec, predict routes
         # through a bounded micro-batching queue whose waves call the
         # same chunked dispatch — coalescing never changes a label.
         # The mutation guard moves inside the wave (the dispatcher
         # thread runs it); submitters must not hold it while waiting.
+        resilience = spec.resilience
         self._queue: AdmissionQueue | None = None
         if resilience is not None:
             self._queue = AdmissionQueue(
@@ -347,7 +307,7 @@ class ModelServer:
         self.close()
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
-        """Shut the queue and pool down; release the request buffer.
+        """Shut the queue and pool down.
 
         With an admission queue, ``drain=True`` (default) answers what
         is already queued before tearing down — bounded by ``timeout``
@@ -366,7 +326,7 @@ class ModelServer:
                 timeout = None if deadline_ms is None else deadline_ms / 1000.0
             self._queue.close(drain=drain, timeout=timeout)
         if self._pool is not None:
-            self._pool.close()  # releases the request buffer segment too
+            self._pool.close()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -465,7 +425,11 @@ class ModelServer:
 
         The row/width bounds run on the raw array *before* the
         estimator's canonicalisation, so an oversized or mis-shaped
-        request is rejected without ever copying or scanning it.
+        request is rejected without ever copying or scanning it.  The
+        estimator's own predict validation then checks dtype, sign and
+        the fitted category domain — all before the request is
+        admitted, so an admission wave only ever coalesces valid
+        matrices and one bad request cannot fail its wave-mates.
         """
         self._check_open()
         raw = np.asarray(X)
@@ -494,16 +458,7 @@ class ModelServer:
         n = X.shape[0]
         if self._pool is None or n == 0:
             return self._estimator.predict(X)
-        spans = self._spans(n)
-        if self._backend.name == "process":
-            with self._buffer_lock:
-                buffer = self._request_buffer(X.dtype)
-                buffer[:n] = X
-                chunks = self._pool.run(
-                    _predict_chunk, spans, dynamic=self._x_buffer
-                )
-        else:
-            chunks = self._pool.run(_predict_chunk, spans, dynamic=X)
+        chunks = self._pool.run(_predict_chunk, self._spans(n), dynamic=X)
         return np.concatenate(chunks)
 
     def _queued_execute(self, X: np.ndarray) -> np.ndarray:
@@ -580,7 +535,6 @@ class ModelServer:
                 "n_jobs": int(self._backend.n_jobs),
                 "allow_extend": self.spec.allow_extend,
                 "pool_open": self._pool is not None and not self._pool.closed,
-                "pool_restarts": 0 if self._pool is None else self._pool.restarts,
                 "metrics_enabled": self.metrics is not None,
                 "resilience": (
                     None
@@ -592,7 +546,6 @@ class ModelServer:
                         "max_queue_depth": self.spec.resilience.max_queue_depth,
                         "max_in_flight": self.spec.resilience.max_in_flight,
                         "deadline_ms": self.spec.resilience.deadline_ms,
-                        "degrade": self.spec.resilience.degrade,
                     }
                 ),
             },
@@ -627,11 +580,10 @@ class ModelServer:
     def metrics_snapshot(self) -> dict | None:
         """JSON-safe merged registry snapshot (``None`` when disabled).
 
-        Merges the per-server registry (request metrics, plus worker
-        deltas shipped home by process pools) with the process-local
-        default registry (span counters from same-address-space
-        kernels, fit/extend phases, ...) — metric names are disjoint
-        by construction, so the merge is a plain union.
+        Merges the per-server registry (request metrics) with the
+        process-local default registry (kernel span counters, fit/extend
+        phases, ...) — metric names are disjoint by construction, so
+        the merge is a plain union.
         """
         if self.metrics is None:
             return None
@@ -664,27 +616,6 @@ class ModelServer:
         """Contiguous row spans: ≤ ``chunk_items`` each, ≥ 1 per worker."""
         per_size = -(-n // self.spec.chunk_items)  # ceil
         return chunk_ranges(n, max(self._backend.n_jobs, per_size))
-
-    def _request_buffer(self, dtype: np.dtype) -> np.ndarray:
-        """The (lazily created) shared-memory request buffer.
-
-        Sized ``(max_batch, n_attributes)`` in the canonical dtype the
-        estimator's validation produces, so copying a validated batch
-        in is exact.  Created under the buffer lock.
-        """
-        if self._x_buffer is None:
-            assert self._pool is not None
-            template = np.zeros(
-                (self.spec.max_batch, self.model.n_attributes), dtype=dtype
-            )
-            self._x_buffer = self._pool.share(template)
-        buffer = self._x_buffer.get()
-        if buffer.dtype != dtype:  # pragma: no cover - canonical dtype is stable
-            raise DataValidationError(
-                f"request dtype {dtype} does not match the serving buffer "
-                f"({buffer.dtype})"
-            )
-        return buffer
 
     def __repr__(self) -> str:
         return (

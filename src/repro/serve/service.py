@@ -46,7 +46,6 @@ from repro.exceptions import (
     DataValidationError,
     DeadlineExceededError,
     OverloadedError,
-    PoolBrokenError,
     ReproError,
     ServerClosedError,
 )
@@ -71,7 +70,6 @@ __all__ = [
 #:                              ``Retry-After`` header)
 #: ``shutting_down``    503     :class:`~repro.exceptions.ServerClosedError`
 #: ``deadline_exceeded`` 504    :class:`~repro.exceptions.DeadlineExceededError`
-#: ``pool_broken``      500     :class:`~repro.exceptions.PoolBrokenError`
 #: ``payload_too_large`` 413    transport byte limit (pre-parse)
 #: ``invalid_json``     400     request line/body is not JSON
 #: ``invalid_request``  400     any other validation failure
@@ -80,7 +78,6 @@ ERROR_CODES = (
     "overloaded",
     "shutting_down",
     "deadline_exceeded",
-    "pool_broken",
     "payload_too_large",
     "invalid_json",
     "invalid_request",
@@ -107,8 +104,6 @@ def error_descriptor(exc: BaseException) -> tuple[int, dict]:
         return 503, {"code": "shutting_down", "message": str(exc)}
     if isinstance(exc, DeadlineExceededError):
         return 504, {"code": "deadline_exceeded", "message": str(exc)}
-    if isinstance(exc, PoolBrokenError):
-        return 500, {"code": "pool_broken", "message": str(exc)}
     if isinstance(exc, json.JSONDecodeError):
         return 400, {"code": "invalid_json", "message": f"invalid JSON: {exc}"}
     return 400, {"code": "invalid_request", "message": str(exc)}

@@ -9,7 +9,14 @@ import pytest
 import repro.api.protocol
 import repro.api.registry
 import repro.api.specs
-from repro.api import EngineSpec, LSHSpec, ServeSpec, TrainSpec
+from repro.api import (
+    EngineSpec,
+    LSHSpec,
+    ResilienceSpec,
+    ServeSpec,
+    StreamSpec,
+    TrainSpec,
+)
 from repro.exceptions import ConfigurationError
 
 
@@ -37,9 +44,7 @@ class TestValidationAtConstruction:
             {"n_jobs": 0},
             {"n_shards": -2},
             {"chunk_items": 0},
-            {"start_method": "teleport"},
-            # start_method is meaningless off the process backend
-            {"backend": "serial", "start_method": "spawn"},
+            {"backend": "process"},
         ],
     )
     def test_engine_spec_rejects(self, kwargs):
@@ -84,9 +89,9 @@ class TestValidationAtConstruction:
 
     def test_valid_specs_construct(self):
         LSHSpec(family="pstable", bands=50, rows=5, width=2.0, seed=1)
-        EngineSpec(backend="process", n_jobs=4, n_shards=8, start_method="spawn")
+        EngineSpec(backend="thread", n_jobs=4, n_shards=8)
         TrainSpec(init="huang", max_iter=5, update_refs="batch")
-        ServeSpec(backend="process", n_jobs=4, chunk_items=256, max_batch=1024)
+        ServeSpec(backend="thread", n_jobs=4, chunk_items=256, max_batch=1024)
 
 
 class TestImmutability:
@@ -121,7 +126,7 @@ class TestDictRoundTrip:
             LSHSpec(family="simhash", bands=32, rows=2, seed=11),
             EngineSpec(backend="thread", n_jobs=3, n_shards=2, chunk_items=64),
             TrainSpec(init="cao", max_iter=7, update_refs="batch"),
-            ServeSpec(backend="process", n_jobs=2, chunk_items=128, max_batch=256),
+            ServeSpec(backend="thread", n_jobs=2, chunk_items=128, max_batch=256),
         ],
     )
     def test_to_dict_from_dict_identity(self, spec):
@@ -129,7 +134,7 @@ class TestDictRoundTrip:
         assert rebuilt == spec
 
     def test_round_trips_through_json(self):
-        spec = EngineSpec(backend="process", n_jobs=2, start_method="spawn")
+        spec = EngineSpec(backend="thread", n_jobs=2, n_shards=3)
         assert EngineSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -203,7 +208,7 @@ class TestStreamSpec:
     def test_dict_round_trip(self):
         from repro.api import StreamSpec
 
-        spec = StreamSpec(backend="process", n_jobs=3, chunk_items=64)
+        spec = StreamSpec(backend="thread", n_jobs=3, chunk_items=64)
         assert StreamSpec.from_dict(spec.to_dict()) == spec
 
     def test_serve_spec_allow_extend_round_trip(self):
@@ -212,3 +217,68 @@ class TestStreamSpec:
         spec = ServeSpec(backend="thread", allow_extend=True)
         assert ServeSpec.from_dict(spec.to_dict()) == spec
         assert "allow_extend=True" in repr(spec)
+
+
+class TestRetiredSettings:
+    """Settings removed with the process tier fail loudly, by name."""
+
+    @pytest.mark.parametrize("spec_cls", [EngineSpec, ServeSpec, StreamSpec])
+    def test_process_backend_is_rejected_naming_thread(self, spec_cls):
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            spec_cls(backend="process")
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            spec_cls.from_dict({"backend": "process"})
+
+    def test_resolve_backend_rejects_process_naming_thread(self):
+        from repro.engine import resolve_backend
+
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            resolve_backend("process")
+
+    def test_start_method_at_its_old_default_is_dropped(self):
+        spec = EngineSpec.from_dict({"backend": "thread", "start_method": None})
+        assert spec == EngineSpec(backend="thread")
+        assert "start_method" not in spec.to_dict()
+        assert EngineSpec().replace(start_method=None) == EngineSpec()
+
+    @pytest.mark.parametrize("value", ["fork", "spawn", "forkserver"])
+    def test_start_method_with_any_other_value_is_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="start_method"):
+            EngineSpec.from_dict({"backend": "thread", "start_method": value})
+        with pytest.raises(ConfigurationError, match="start_method"):
+            EngineSpec().replace(start_method=value)
+
+    def test_start_method_is_no_longer_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            EngineSpec(start_method=None)
+
+    def test_retired_resilience_fields_at_old_defaults_load(self):
+        old = {
+            "max_queue_depth": 8,
+            "max_retries": 2,
+            "backoff_ms": 50.0,
+            "backoff_max_ms": 2000.0,
+            "jitter": 0.1,
+            "seed": None,
+            "degrade": "serial",
+        }
+        assert ResilienceSpec.from_dict(old) == ResilienceSpec(max_queue_depth=8)
+        nested = ServeSpec.from_dict({"backend": "thread", "resilience": old})
+        assert nested.resilience == ResilienceSpec(max_queue_depth=8)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_retries", 0),
+            ("backoff_ms", 10.0),
+            ("backoff_max_ms", 100.0),
+            ("jitter", 0.0),
+            ("seed", 7),
+            ("degrade", "error"),
+        ],
+    )
+    def test_retired_resilience_fields_with_other_values_fail(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ResilienceSpec.from_dict({field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            ServeSpec.from_dict({"resilience": {field: value}})

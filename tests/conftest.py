@@ -1,9 +1,26 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, plus a per-test hang guard."""
 
 from __future__ import annotations
 
+import faulthandler
+
 import numpy as np
 import pytest
+
+#: Seconds one test (setup, call and teardown together) may run before
+#: the whole run is aborted with every thread's traceback on stderr.
+#: The slowest test here takes a few seconds; this only ever fires on
+#: a hang, which then fails the run instead of stalling it.
+HANG_TIMEOUT_S = 300
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 from repro.data.datgen import RuleBasedGenerator
 from repro.data.dataset import CategoricalDataset

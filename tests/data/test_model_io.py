@@ -183,3 +183,79 @@ class TestValidation:
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(DataValidationError):
             load_model(path)
+
+
+#: Retired spec fields at the defaults that sidecars written before
+#: their removal carry.
+_RETIRED_ENGINE = {"start_method": None}
+_RETIRED_RESILIENCE = {
+    "max_retries": 2,
+    "backoff_ms": 50.0,
+    "backoff_max_ms": 2000.0,
+    "jitter": 0.1,
+    "seed": None,
+    "degrade": "serial",
+}
+
+
+def _sidecar_with(path, engine=None, resilience=None):
+    """Rewrite a saved sidecar's spec sections, as an older writer would."""
+    sidecar = path.with_suffix(".json")
+    data = json.loads(sidecar.read_text(encoding="utf-8"))
+    data["specs"]["engine"].update(engine or {})
+    data["specs"]["serve"]["resilience"].update(resilience or {})
+    sidecar.write_text(json.dumps(data), encoding="utf-8")
+
+
+class TestRetiredFieldsInSidecars:
+    @pytest.fixture
+    def saved(self, categorical, tmp_path):
+        from repro.api import ResilienceSpec, ServeSpec
+
+        model = MHKModes(
+            n_clusters=8,
+            lsh={"bands": 8, "rows": 2, "seed": 7},
+            engine={"backend": "thread", "n_jobs": 2},
+            train={"update_refs": "batch"},
+        ).fit(categorical.X)
+        serve = ServeSpec(
+            backend="thread", n_jobs=2, resilience=ResilienceSpec(deadline_ms=500)
+        )
+        return model, save_model(model, tmp_path / "model", serve=serve)
+
+    def test_old_format_sidecar_loads_and_predicts_identically(
+        self, saved, novel
+    ):
+        from repro.data.io import load_cluster_model, load_serve_spec
+        from repro.serve import ModelServer
+
+        model, path = saved
+        _sidecar_with(path, _RETIRED_ENGINE, _RETIRED_RESILIENCE)
+        artifact = load_cluster_model(path)
+        expected = model.predict(novel.X)
+        assert np.array_equal(artifact.predict(novel.X), expected)
+        assert np.array_equal(load_model(path).predict(novel.X), expected)
+        spec = load_serve_spec(path)
+        assert spec.resilience.deadline_ms == 500
+        with ModelServer(artifact, spec) as server:
+            assert np.array_equal(server.predict(novel.X), expected)
+
+    @pytest.mark.parametrize(
+        "engine, resilience, loader, named",
+        [
+            ({"backend": "process"}, None, "load_cluster_model", "thread"),
+            ({"start_method": "fork"}, None, "load_cluster_model", "start_method"),
+            (None, {"degrade": "error"}, "load_serve_spec", "degrade"),
+            (None, {"max_retries": 5}, "load_serve_spec", "max_retries"),
+        ],
+    )
+    def test_sidecar_asking_for_retired_behaviour_fails_by_name(
+        self, saved, engine, resilience, loader, named
+    ):
+        from repro.data import io
+        from repro.exceptions import ConfigurationError
+
+        _, path = saved
+        _sidecar_with(path, engine, resilience)
+        with pytest.raises(ConfigurationError, match=named):
+            getattr(io, loader)(path)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.engine import PersistentPool
 from repro.engine.backends import (
     BACKEND_NAMES,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
@@ -14,7 +14,6 @@ from repro.exceptions import ConfigurationError
 
 
 def _scale_chunk(static, dynamic, span):
-    """Module-level kernel (picklable for the process backend)."""
     values = static
     factor = dynamic if dynamic is not None else 1
     start, stop = span
@@ -32,25 +31,29 @@ def backend(request):
 
 class TestRunSemantics:
     def test_results_in_task_order(self, backend):
-        chunks = backend.run(_scale_chunk, SPANS, static=VALUES, dynamic=3)
+        with PersistentPool(backend, VALUES) as pool:
+            chunks = pool.run(_scale_chunk, SPANS, dynamic=3)
         assert np.array_equal(np.concatenate(chunks), VALUES * 3)
 
     def test_session_reuse_with_changing_dynamic(self, backend):
-        with backend.session(VALUES) as session:
-            first = session.run(_scale_chunk, SPANS, dynamic=1)
-            second = session.run(_scale_chunk, SPANS, dynamic=2)
+        with PersistentPool(backend, VALUES) as pool:
+            first = pool.run(_scale_chunk, SPANS, dynamic=1)
+            second = pool.run(_scale_chunk, SPANS, dynamic=2)
         assert np.array_equal(np.concatenate(first), VALUES)
         assert np.array_equal(np.concatenate(second), VALUES * 2)
 
     def test_empty_task_list(self, backend):
-        assert backend.run(_scale_chunk, [], static=VALUES) == []
+        with PersistentPool(backend, VALUES) as pool:
+            assert pool.run(_scale_chunk, []) == []
 
 
 class TestResolution:
+    def test_backend_names(self):
+        assert BACKEND_NAMES == ("serial", "thread")
+
     def test_names_resolve_to_classes(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("thread"), ThreadBackend)
-        assert isinstance(resolve_backend("process"), ProcessBackend)
 
     def test_instance_passes_through(self):
         backend = ThreadBackend(n_jobs=3)
@@ -64,6 +67,10 @@ class TestResolution:
         with pytest.raises(ConfigurationError):
             resolve_backend("gpu")
 
+    def test_process_name_rejected_naming_thread(self):
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            resolve_backend("process")
+
     def test_non_positive_n_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             ThreadBackend(n_jobs=0)
@@ -75,4 +82,4 @@ class TestResolution:
         assert resolve_backend("thread").is_parallel
 
     def test_default_n_jobs_positive(self):
-        assert resolve_backend("process").n_jobs >= 1
+        assert resolve_backend("thread").n_jobs >= 1

@@ -1,24 +1,15 @@
 """The engine's fit-lifetime session contract.
 
-One fit = one backend session (one worker pool), with the item matrix
-and every post-open array reaching process workers through zero-copy
-or shared-memory transport — never through per-task pickles.
+One fit = one worker pool, serving every phase from the exhaustive
+setup pass to the last iteration.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.mh_kmodes import MHKModes
 from repro.data.datgen import RuleBasedGenerator
-from repro.engine import (
-    ProcessBackend,
-    SerialBackend,
-    SharedArray,
-    ThreadBackend,
-    resolve_array,
-)
+from repro.engine import ThreadBackend
 
 
 @pytest.fixture(scope="module")
@@ -48,17 +39,9 @@ def _fit(X, initial, backend, **overrides):
 
 
 class TestOnePoolPerFit:
-    @pytest.mark.parametrize(
-        "backend_factory",
-        [
-            lambda: ThreadBackend(n_jobs=2),
-            lambda: ProcessBackend(n_jobs=2),
-        ],
-        ids=["thread", "process"],
-    )
-    def test_single_session_spans_all_phases(self, workload, backend_factory):
+    def test_single_session_spans_all_phases(self, workload):
         X, initial = workload
-        backend = backend_factory()
+        backend = ThreadBackend(n_jobs=2)
         assert backend.sessions_opened == 0
         _fit(X, initial, backend)
         # exhaustive + signatures + index build + every iteration pass
@@ -96,65 +79,3 @@ class TestSerialBatchVectorised:
         assert (
             fast.stats_.shortlist_sizes == reference.stats_.shortlist_sizes
         )
-
-
-class TestSharedMemoryTransport:
-    def test_wrap_is_zero_copy(self):
-        array = np.arange(12.0)
-        handle = SharedArray.wrap(array)
-        assert not handle.is_shm
-        assert handle.get() is not None
-        assert np.shares_memory(handle.get(), array)
-        handle.release()  # no-op
-
-    def test_shm_round_trip_and_small_pickle(self):
-        array = np.arange(200_000, dtype=np.float64).reshape(1000, 200)
-        handle = SharedArray.via_shm(array)
-        try:
-            if not handle.is_shm:
-                pytest.skip("shared memory unavailable on this platform")
-            assert np.array_equal(handle.get(), array)
-            payload = pickle.dumps(handle)
-            # the 1.6 MB matrix travels as a descriptor, not as bytes
-            assert len(payload) < 1024
-            clone = pickle.loads(payload)
-            assert np.array_equal(clone.get(), array)
-        finally:
-            handle.release()
-
-    def test_resolve_array_passthrough(self):
-        array = np.arange(5)
-        assert resolve_array(array) is array
-        assert np.array_equal(resolve_array(SharedArray.wrap(array)), array)
-
-    def test_process_backend_shares_via_shm(self):
-        backend = ProcessBackend(n_jobs=1)
-        handle = backend.share_array(np.zeros(64))
-        try:
-            assert handle.is_shm or True  # platform without shm degrades to wrap
-        finally:
-            handle.release()
-        assert not SerialBackend().share_array(np.zeros(4)).is_shm
-        assert not ThreadBackend(n_jobs=1).share_array(np.zeros(4)).is_shm
-
-
-class TestSpawnContext:
-    """The acceptance contract for platforms without fork."""
-
-    def test_spawn_backend_matches_serial_and_uses_shared_memory(self, workload):
-        X, initial = workload
-        backend = ProcessBackend(n_jobs=2, start_method="spawn")
-        assert not backend.inherits_static
-        # the engine must route the item matrix through shared memory —
-        # share_array is the only transport spawn sessions get
-        probe = backend.share_array(np.ascontiguousarray(X))
-        try:
-            if not probe.is_shm:
-                pytest.skip("shared memory unavailable on this platform")
-        finally:
-            probe.release()
-        reference = _fit(X, initial, "serial")
-        spawned = _fit(X, initial, backend)
-        assert backend.sessions_opened == 1
-        assert np.array_equal(spawned.labels_, reference.labels_)
-        assert np.array_equal(spawned.centroids_, reference.centroids_)

@@ -1,28 +1,18 @@
-"""PersistentPool: lifetime, transport tracking, failure behaviour."""
+"""PersistentPool: lifetime, dispatch and failure behaviour."""
 
 from __future__ import annotations
 
 import gc
 
-import numpy as np
 import pytest
 
 from repro.engine import (
     PersistentPool,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     live_pool_count,
 )
-from repro.engine.shared import SharedArray, live_segment_count
-from repro.exceptions import ConfigurationError, PoolBrokenError
-from repro.obs import MetricsRegistry
-from repro.resilience import FaultPlan, RetryPolicy, inject_faults
-
-#: Real retries without real sleeps, for the restart tests.
-_FAST_RETRIES = RetryPolicy(
-    max_retries=2, backoff_ms=0.0, backoff_max_ms=0.0, jitter=0.0
-)
+from repro.exceptions import ConfigurationError
 
 
 def _echo(static, dynamic, task):
@@ -65,171 +55,30 @@ class TestLifecycle:
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
             pool.run(_double, [1])
-        with pytest.raises(ConfigurationError, match="closed"):
-            pool.share(np.arange(3))
 
     def test_static_payload_reaches_every_dispatch(self):
         with PersistentPool(SerialBackend(), static="payload") as pool:
             results = pool.run(_echo, ["a", "b"], dynamic=1)
         assert results == [("payload", 1, "a"), ("payload", 1, "b")]
 
-
-class TestFailureBehaviour:
-    def test_kernel_exception_does_not_poison_the_pool(self):
-        for backend in (SerialBackend(), ThreadBackend(n_jobs=2)):
-            with PersistentPool(backend) as pool:
-                with pytest.raises(ValueError, match="kernel failed"):
-                    pool.run(_boom, [1, 2])
-                assert pool.run(_double, [4]) == [8]
-
-    def test_process_pool_survives_kernel_exception(self):
-        with PersistentPool(ProcessBackend(n_jobs=2)) as pool:
-            with pytest.raises(ValueError, match="kernel failed"):
-                pool.run(_boom, [1])
-            assert pool.run(_double, [3, 4]) == [6, 8]
-
-    def test_adopted_handles_released_when_session_open_fails(self):
-        class ExplodingBackend(SerialBackend):
-            def _open_session(self, static=None):
-                raise RuntimeError("no workers today")
-
-        handle = SharedArray.via_shm(np.arange(8))
+    def test_unclosed_pool_reclaimed_by_gc_stops_counting(self):
         baseline = live_pool_count()
-        with pytest.raises(RuntimeError, match="no workers"):
-            PersistentPool(ExplodingBackend(), handles=(handle,))
-        assert live_pool_count() == baseline
-        # the segment was unlinked by the constructor's failure path
-        assert handle._shm is None
-
-
-class TestWorkerDeathRecovery:
-    def test_dropped_result_respawns_once_and_retries(self):
-        backend = SerialBackend()
-        with inject_faults(FaultPlan(drop_on_chunks=(1,))):
-            with PersistentPool(backend, retry_policy=_FAST_RETRIES) as pool:
-                assert pool.run(_double, [1, 2, 3]) == [2, 4, 6]
-                assert pool.restarts == 1
-        # A respawn opens a second session, by design.
-        assert backend.sessions_opened == 2
-
-    def test_sigkilled_worker_respawns_and_answers(self):
-        with inject_faults(FaultPlan(kill_on_chunks=(2,))):
-            with PersistentPool(
-                ProcessBackend(n_jobs=2), retry_policy=_FAST_RETRIES
-            ) as pool:
-                assert pool.run(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
-                assert pool.restarts == 1
-                # The fresh session is durable, not single-shot.
-                assert pool.run(_double, [5]) == [10]
-                assert pool.restarts == 1
-
-    def test_restart_counter_lands_in_the_registry(self):
-        registry = MetricsRegistry()
-        with inject_faults(FaultPlan(drop_on_chunks=(1,))):
-            with PersistentPool(
-                SerialBackend(), metrics=registry, retry_policy=_FAST_RETRIES
-            ) as pool:
-                pool.run(_double, [1])
-        assert registry.counter("repro_pool_restarts_total").value == 1.0
-        assert registry.counter("repro_degraded_requests_total").value == 0.0
-
-    def test_exhausted_retries_degrade_to_serial(self):
-        registry = MetricsRegistry()
-        # Every attempt's first chunk drops: 1 initial try + 2 retries
-        # all fail, then the in-process fallback answers anyway.
-        with inject_faults(FaultPlan(drop_on_chunks=(1, 2, 3))):
-            with PersistentPool(
-                SerialBackend(),
-                metrics=registry,
-                retry_policy=_FAST_RETRIES,
-                degrade="serial",
-            ) as pool:
-                assert pool.run(_double, [7]) == [14]
-        assert registry.counter("repro_degraded_requests_total").value == 1.0
-
-    def test_exhausted_retries_with_degrade_error_raise(self):
-        with inject_faults(FaultPlan(drop_on_chunks=(1, 2, 3))):
-            with PersistentPool(
-                SerialBackend(), retry_policy=_FAST_RETRIES, degrade="error"
-            ) as pool:
-                with pytest.raises(PoolBrokenError, match="3 consecutive"):
-                    pool.run(_double, [7])
-
-    def test_unknown_degrade_policy_rejected(self):
-        with pytest.raises(ConfigurationError, match="degrade"):
-            PersistentPool(SerialBackend(), degrade="explode")
-
-    def test_shared_handles_survive_a_respawn(self):
-        # Workers attach shm segments lazily by name, so handles made
-        # before a worker death stay valid in the respawned session.
-        with inject_faults(FaultPlan(kill_on_chunks=(1,))):
-            with PersistentPool(
-                ProcessBackend(n_jobs=1), retry_policy=_FAST_RETRIES
-            ) as pool:
-                handle = pool.share(np.arange(6, dtype=np.int64))
-                [seen] = pool.run(_echo, [0], dynamic=handle)
-                assert pool.restarts == 1
-                assert np.array_equal(seen[1].get(), np.arange(6))
-
-
-class TestSegmentAccounting:
-    def test_share_and_close_balance_the_segment_count(self):
-        baseline = live_segment_count()
-        pool = PersistentPool(ProcessBackend(n_jobs=1))
-        pool.share(np.arange(8, dtype=np.int64))
-        pool.share(np.arange(4, dtype=np.int64))
-        assert live_segment_count() == baseline + 2
-        pool.close()
-        assert live_segment_count() == baseline
-
-    def test_gc_finalizer_releases_segments_of_an_unclosed_pool(self):
-        # The crash-shaped leak: a pool owner dies without close().
-        seg_baseline = live_segment_count()
-        pool_baseline = live_pool_count()
-        pool = PersistentPool(ProcessBackend(n_jobs=1))
-        pool.share(np.arange(16, dtype=np.int64))
-        assert live_segment_count() == seg_baseline + 1
-        assert live_pool_count() == pool_baseline + 1
-        session = pool._session  # keep workers from leaking a warning
+        pool = PersistentPool(ThreadBackend(n_jobs=1))
+        assert pool.run(_double, [4]) == [8]
+        assert live_pool_count() == baseline + 1
         del pool
         gc.collect()
-        assert live_segment_count() == seg_baseline
-        # The reclaimed pool no longer counts as live either — a GC'd
-        # pool must not poison later leak assertions.
-        assert live_pool_count() == pool_baseline
-        session.close()
-
-    def test_segments_released_even_after_worker_death(self):
-        baseline = live_segment_count()
-        with inject_faults(FaultPlan(kill_on_chunks=(1,))):
-            with PersistentPool(
-                ProcessBackend(n_jobs=1), retry_policy=_FAST_RETRIES
-            ) as pool:
-                handle = pool.share(np.zeros(4, dtype=np.int64))
-                pool.run(_echo, [0], dynamic=handle)
-                assert pool.restarts == 1
-                assert live_segment_count() == baseline + 1
-        assert live_segment_count() == baseline
+        assert live_pool_count() == baseline
 
 
-class TestTransport:
-    def test_share_releases_segments_at_close(self):
-        backend = ProcessBackend(n_jobs=1)
-        pool = PersistentPool(backend)
-        handle = pool.share(np.arange(16, dtype=np.int64))
-        assert handle.is_shm or handle._array is not None
-        [seen] = pool.run(_echo, [0], dynamic=handle)
-        assert np.array_equal(seen[1].get(), np.arange(16))
-        pool.close()
-        assert handle._shm is None  # unlinked
-
-    def test_shared_buffer_writes_visible_to_process_workers(self):
-        # The serving request-buffer pattern: one segment, many writes.
-        backend = ProcessBackend(n_jobs=1)
-        with PersistentPool(backend) as pool:
-            handle = pool.share(np.zeros(4, dtype=np.int64))
-            view = handle.get()
-            for fill in (7, 9):
-                view[:] = fill
-                [(_, seen, _)] = pool.run(_echo, [0], dynamic=handle)
-                assert np.array_equal(seen.get(), np.full(4, fill))
+class TestFailureBehaviour:
+    @pytest.mark.parametrize(
+        "backend_factory",
+        [SerialBackend, lambda: ThreadBackend(n_jobs=2)],
+        ids=["serial", "thread"],
+    )
+    def test_kernel_exception_does_not_poison_the_pool(self, backend_factory):
+        with PersistentPool(backend_factory()) as pool:
+            with pytest.raises(ValueError, match="kernel failed"):
+                pool.run(_boom, [1, 2])
+            assert pool.run(_double, [3, 4]) == [6, 8]

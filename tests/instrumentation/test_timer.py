@@ -1,8 +1,8 @@
-"""Unit tests for Timer / StageTimer."""
+"""Unit tests for Timer."""
 
 import time
 
-from repro.instrumentation.timer import StageTimer, Timer
+from repro.instrumentation.timer import Timer
 
 
 class TestTimer:
@@ -25,31 +25,3 @@ class TestTimer:
         timer.restart()
         assert timer.lap() < first
 
-
-class TestStageTimer:
-    def test_accumulates(self):
-        timer = StageTimer()
-        for _ in range(3):
-            with timer.stage("work"):
-                time.sleep(0.002)
-        assert timer.counts["work"] == 3
-        assert timer.total("work") >= 0.005
-
-    def test_mean(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            time.sleep(0.002)
-        assert timer.mean("a") == timer.total("a")
-
-    def test_unknown_stage_defaults(self):
-        timer = StageTimer()
-        assert timer.total("never") == 0.0
-        assert timer.mean("never") == 0.0
-
-    def test_separate_stages(self):
-        timer = StageTimer()
-        with timer.stage("x"):
-            pass
-        with timer.stage("y"):
-            pass
-        assert set(timer.totals) == {"x", "y"}

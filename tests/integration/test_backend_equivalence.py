@@ -1,7 +1,7 @@
 """Backend-equivalence suite.
 
 The engine's core contract: with a fixed seed and batch updates, the
-``serial``, ``thread`` and ``process`` backends — and any shard count —
+``serial`` and ``thread`` backends — any worker and shard count —
 produce *identical* labels and centroids, because a batch pass scores
 every item against the labels frozen at the start of the pass and the
 chunked kernels replicate the serial tie-breaking exactly.
@@ -17,7 +17,7 @@ from repro.engine import ShardedClusteredLSHIndex
 from repro.exceptions import ConfigurationError
 from repro.kmeans.mh_kmeans import LSHKMeans
 
-BACKEND_CONFIGS = [("serial", None), ("thread", 2), ("thread", 3), ("process", 2)]
+BACKEND_CONFIGS = [("serial", None), ("thread", 2), ("thread", 3), ("thread", 4)]
 
 
 @pytest.fixture(scope="module")

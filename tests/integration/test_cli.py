@@ -180,23 +180,23 @@ class TestClusterCommand:
         assert code == 0
         assert "MH-K-Modes 4b 2r" in capsys.readouterr().out
 
-    def test_backend_flag_overrides_spec_start_method(
+    def test_spec_file_with_retired_start_method_default_loads(
         self, dataset_path, tmp_path, capsys
     ):
         import json
 
+        # the to_dict format of earlier releases carries
+        # "start_method": null; such files keep working
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
             json.dumps(
                 {
                     "lsh": {"bands": 4, "rows": 1, "seed": 0},
-                    "engine": {"backend": "process", "start_method": "fork"},
+                    "engine": {"backend": "thread", "start_method": None},
                     "train": {"max_iter": 3},
                 }
             )
         )
-        # moving off the process backend must drop the file's
-        # start_method along with the backend it configured
         code = main(
             [
                 "cluster", str(dataset_path),
@@ -206,6 +206,30 @@ class TestClusterCommand:
         )
         assert code == 0
         assert "backend=serial" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "engine, field",
+        [
+            ({"backend": "process"}, "thread"),
+            ({"backend": "thread", "start_method": "fork"}, "start_method"),
+        ],
+    )
+    def test_spec_file_with_retired_settings_rejected(
+        self, dataset_path, tmp_path, engine, field
+    ):
+        import json
+
+        from repro.exceptions import ConfigurationError
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"engine": engine}))
+        with pytest.raises(ConfigurationError, match=field):
+            main(
+                [
+                    "cluster", str(dataset_path),
+                    "--clusters", "8", "--spec", str(spec_path),
+                ]
+            )
 
     def test_spec_file_without_seed_keeps_cli_default(
         self, dataset_path, tmp_path, capsys
@@ -249,16 +273,17 @@ class TestClusterCommand:
             [
                 "cluster", str(dataset_path),
                 "--algorithm", "kmodes", "--clusters", "8", "--seed", "0",
-                "--backend", "process", "--jobs", "4",
+                "--backend", "thread", "--jobs", "4",
             ]
         )
         assert code == 0
         assert "apply to mh-kmodes only" in capsys.readouterr().err
 
-    def test_backend_flag_validated(self):
+    @pytest.mark.parametrize("backend", ["gpu", "process"])
+    def test_backend_flag_validated(self, backend):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["cluster", "ds.npz", "--clusters", "4", "--backend", "gpu"]
+                ["cluster", "ds.npz", "--clusters", "4", "--backend", backend]
             )
 
 

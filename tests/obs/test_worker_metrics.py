@@ -1,24 +1,16 @@
-"""Worker metrics attribution: pool snapshots merge back to the caller.
+"""Worker metrics attribution: pool kernels record into the caller's registry.
 
-Process-pool workers record spans into their own process-local default
-registry; :meth:`BackendSession.run_metered` captures one delta per
-kernel call and ships it home, where :class:`PersistentPool` merges it
-into the configured target.  Serial and thread kernels share the
-caller's process, so they reach the caller's default registry directly
-and ship no snapshots.
+Serial and thread pool workers share the caller's process, so a traced
+kernel records its span straight into the process default registry —
+once per task, whichever worker thread ran it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    PersistentPool,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
-from repro.obs import MetricsRegistry, capture_metrics, metrics, traced
+from repro.engine import PersistentPool, SerialBackend, ThreadBackend
+from repro.obs import capture_metrics, traced
 
 CALLS = {"span": "test.pool_kernel"}
 
@@ -28,45 +20,6 @@ def _metered_kernel(static, dynamic, task):
     return task * 2
 
 
-class TestProcessAttribution:
-    def test_snapshots_merge_into_explicit_registry(self):
-        registry = MetricsRegistry()
-        backend = ProcessBackend(n_jobs=2)
-        with PersistentPool(backend, metrics=registry) as pool:
-            assert pool.run(_metered_kernel, [1, 2, 3]) == [2, 4, 6]
-        assert registry.value("repro_span_calls_total", CALLS) == 3.0
-        assert registry.value("repro_span_seconds_total", CALLS) >= 0.0
-
-    def test_metrics_true_targets_default_registry_at_dispatch(self):
-        backend = ProcessBackend(n_jobs=2)
-        with PersistentPool(backend, metrics=True) as pool:
-            # The target resolves per dispatch, so a capture around the
-            # run scoops up the worker deltas even though the pool was
-            # built before the capture began.
-            with capture_metrics() as captured:
-                pool.run(_metered_kernel, [1, 2])
-        assert captured.value("repro_span_calls_total", CALLS) == 2.0
-        assert metrics().get("repro_span_calls_total") is None or (
-            captured is not metrics()
-        )
-
-    def test_metrics_none_skips_attribution(self):
-        backend = ProcessBackend(n_jobs=2)
-        with PersistentPool(backend) as pool:
-            with capture_metrics() as captured:
-                assert pool.run(_metered_kernel, [1, 2]) == [2, 4]
-        # Workers still spent the time, but nothing was shipped home.
-        assert captured.get("repro_span_calls_total") is None
-
-    def test_deltas_accumulate_across_dispatches(self):
-        registry = MetricsRegistry()
-        backend = ProcessBackend(n_jobs=1)
-        with PersistentPool(backend, metrics=registry) as pool:
-            pool.run(_metered_kernel, [1])
-            pool.run(_metered_kernel, [2, 3])
-        assert registry.value("repro_span_calls_total", CALLS) == 3.0
-
-
 class TestInProcessAttribution:
     @pytest.mark.parametrize(
         "backend_factory",
@@ -74,10 +27,9 @@ class TestInProcessAttribution:
         ids=["serial", "thread"],
     )
     def test_kernels_record_into_caller_default(self, backend_factory):
-        with PersistentPool(backend_factory(), metrics=True) as pool:
+        with PersistentPool(backend_factory()) as pool:
             with capture_metrics() as captured:
                 assert pool.run(_metered_kernel, [1, 2, 3]) == [2, 4, 6]
-        # No snapshot transport: the kernel ran in-process and recorded
-        # straight into the captured default registry, exactly once per
-        # task (a merge on top would double-count).
+        # The kernel ran in this process and recorded straight into the
+        # captured default registry, exactly once per task.
         assert captured.value("repro_span_calls_total", CALLS) == 3.0

@@ -2,13 +2,12 @@
 
 The contract of the batch ingest pipeline
 (:meth:`repro.core.StreamingMHKModes.extend`) is that for any spec,
-dataset, chunk size (including 1) and backend (serial / thread /
-process), the labels it returns, the modes it refreshes, the fallback
-counter and the per-cluster sizes are **bit-identical** to feeding the
-same rows one by one through the sequential :meth:`push` loop.
-Hypothesis drives random scenarios through the serial and thread
-paths; the process backend (expensive to spin per example) is pinned
-to a representative fixed workload.
+dataset, chunk size (including 1) and backend (serial / thread), the
+labels it returns, the modes it refreshes, the fallback counter and
+the per-cluster sizes are **bit-identical** to feeding the same rows
+one by one through the sequential :meth:`push` loop.  Hypothesis
+drives random scenarios through both backends; the thread backend is
+also pinned to a representative fixed workload.
 
 The :class:`repro.core.ClusterModeTracker` storage layouts (dense
 count tensor with the incrementally maintained argmax vs the
@@ -181,12 +180,12 @@ def _fixed_stream(stream=None):
     )
 
 
-class TestProcessBackendPinned:
-    def test_process_extend_bit_identical(self, fixed_workload):
+class TestThreadBackendPinned:
+    def test_thread_extend_bit_identical(self, fixed_workload):
         X = fixed_workload.X
         reference = _fixed_stream().bootstrap(X[:400])
         pushed = np.array([reference.push(row) for row in X[400:]])
-        spec = StreamSpec(backend="process", n_jobs=2, chunk_items=64)
+        spec = StreamSpec(backend="thread", n_jobs=2, chunk_items=64)
         with _fixed_stream(stream=spec).bootstrap(X[:400]) as candidate:
             extended = candidate.extend(X[400:])
             assert np.array_equal(pushed, extended)

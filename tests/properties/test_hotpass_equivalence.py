@@ -82,7 +82,7 @@ ENGINE_CONFIGS = [
     {"n_shards": 3},
     {"backend": "thread", "n_jobs": 2},
     {"backend": "thread", "n_jobs": 3, "n_shards": 5},
-    {"backend": "process", "n_jobs": 2},
+    {"backend": "thread", "n_jobs": 4, "n_shards": 1},
 ]
 
 

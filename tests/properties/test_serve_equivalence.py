@@ -2,13 +2,13 @@
 
 The serving contract of :class:`repro.serve.ModelServer` is that it is
 a pure *delivery* layer: for any spec and dataset, every combination of
-backend (serial / thread / process), chunk size (including 1),
-batch size (including 1 and 0) and request ordering returns labels
-bit-identical to in-process ``ClusterModel.predict`` — which itself
-routes through the training estimator's batched shortlist ``predict``.
-Hypothesis drives random specs and datasets through the serial and
-thread paths; the process backend (expensive to spin per example)
-is pinned to representative chunkings over a fixed workload.
+backend (serial / thread), chunk size (including 1), batch size
+(including 1 and 0) and request ordering returns labels bit-identical
+to in-process ``ClusterModel.predict`` — which itself routes through
+the training estimator's batched shortlist ``predict``.  Hypothesis
+drives random specs and datasets through both backends; the thread
+backend is also pinned to representative chunkings over a fixed
+workload.
 """
 
 from __future__ import annotations
@@ -123,14 +123,14 @@ def fixed_workload():
     return estimator, model, data, novel.X
 
 
-class TestProcessBackend:
-    """The process path, pinned (one pool spin-up per chunking)."""
+class TestPinnedThreadBackend:
+    """The thread path, pinned (one pool spin-up per chunking)."""
 
     @pytest.mark.parametrize("chunk_items", [1, 17, 4096])
-    def test_process_serving_bit_identical(self, fixed_workload, chunk_items):
+    def test_thread_serving_bit_identical(self, fixed_workload, chunk_items):
         estimator, model, data, X_novel = fixed_workload
         spec = ServeSpec(
-            backend="process", n_jobs=2, chunk_items=chunk_items, max_batch=4096
+            backend="thread", n_jobs=2, chunk_items=chunk_items, max_batch=4096
         )
         with ModelServer(model, spec) as server:
             for X in (data.X, X_novel, X_novel[:1]):
@@ -145,7 +145,7 @@ class TestProcessBackend:
         _, model, data, _ = fixed_workload
         reference = model.predict(data.X)
         spec = ServeSpec(
-            backend="process", n_jobs=2, chunk_items=50, max_batch=512
+            backend="thread", n_jobs=2, chunk_items=50, max_batch=512
         )
         with ModelServer(model, spec) as server:
             rng = np.random.default_rng(3)
@@ -170,7 +170,7 @@ class TestTrainingLabels:
         estimator, model, data, _ = fixed_workload
         assert estimator.converged_
         centroids = np.asarray(model.centroids)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             spec = ServeSpec(
                 backend=backend, n_jobs=2, chunk_items=128, max_batch=512
             )
@@ -205,7 +205,7 @@ class TestNumericFamily:
         novel = rng.normal(6.0, 4.0, (77, 6))
         reference = model.predict(novel)
         assert np.array_equal(reference, estimator.predict(novel))
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             spec = ServeSpec(
                 backend=backend, n_jobs=2, chunk_items=13, max_batch=256
             )

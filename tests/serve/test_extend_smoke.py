@@ -74,10 +74,6 @@ class TestModelServerExtend:
             with pytest.raises(ConfigurationError):
                 server.extend(X[:3])
 
-    def test_spec_rejects_process_streaming(self):
-        with pytest.raises(ConfigurationError):
-            ServeSpec(backend="process", allow_extend=True)
-
     def test_extend_op_over_handle_request(self, streamable):
         _, artifact, X = streamable
         with ModelServer(

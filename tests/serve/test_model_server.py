@@ -138,7 +138,7 @@ class TestServing:
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_no_pool_leak_after_close(self, artifact, fitted, backend):
         _, data = fitted
         baseline = live_pool_count()

@@ -4,9 +4,8 @@ The serving contract under concurrency:
 
 * N threads firing interleaved batches at one server each get exactly
   the labels their own batch deserves — no cross-request interleaving,
-  on every backend (the process backend serialises its shared request
-  buffer behind a lock; threads and serial dispatch concurrently
-  against the frozen index);
+  on every backend (both dispatch concurrently against the frozen
+  index);
 * a request that fails (validation error, kernel exception) leaves the
   pool usable for the next request;
 * ``close()`` tears the pool down exactly once — the module-level
@@ -34,7 +33,7 @@ BATCHES_PER_THREAD = 6
 
 
 def _explode(static, dynamic, task):
-    """Module-level kernel (process pools must pickle it) that fails."""
+    """A pool kernel that always fails."""
     raise RuntimeError("worker blew up")
 
 
@@ -70,7 +69,7 @@ def _hammer(server, X, reference, rng_seed: int) -> list[str]:
 
 
 class TestConcurrentBatches:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_hammering_threads_get_their_own_results(self, workload, backend):
         artifact, X, reference = workload
         baseline_pools = live_pool_count()
@@ -94,7 +93,7 @@ class TestConcurrentBatches:
 
 
 class TestFailureIsolation:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_pool_survives_failing_requests_between_good_ones(
         self, workload, backend
     ):
@@ -115,7 +114,7 @@ class TestFailureIsolation:
         # Drive a genuine *in-worker* failure through the server's own
         # pool, then verify ordinary serving continues on that pool.
         artifact, X, reference = workload
-        spec = ServeSpec(backend="process", n_jobs=2, chunk_items=32, max_batch=128)
+        spec = ServeSpec(backend="thread", n_jobs=2, chunk_items=32, max_batch=128)
         with ModelServer(artifact, spec) as server:
             with pytest.raises(RuntimeError, match="worker blew up"):
                 server._pool.run(_explode, [0, 1])
