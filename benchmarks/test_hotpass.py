@@ -91,7 +91,7 @@ def test_vectorised_pass_speedup(fitted):
         )
         return out, moves, accumulator.mean()
 
-    csr = _pass_neighbour_csr(index, n)
+    csr = _pass_neighbour_csr(index)
 
     def vectorised_pass():
         out, moves, total, _ = _assignment_chunk(

@@ -58,7 +58,7 @@ from repro.engine import (
     ShardedClusteredLSHIndex,
     resolve_engine,
 )
-from repro.engine.parallel import best_shortlisted_centroids
+from repro.engine.parallel import _pass_neighbour_csr, best_shortlisted_centroids
 from repro.exceptions import (
     ConfigurationError,
     DataValidationError,
@@ -503,16 +503,14 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         This is the hot loop of the whole library, so it works on raw
         arrays: the index's live assignment view doubles as the label
         array (online reference updates are then a plain element write),
-        and precomputed neighbour lists are walked as CSR slices.
+        and neighbour lists are walked as CSR slices.
         """
         online = self.update_refs == "online"
         index.set_assignments(labels)
         refs = index.assignments_view()  # live view; refs[i] = c updates the index
         new_labels = labels.copy()
         working = refs if online else labels
-        csr = index.neighbour_csr() if index.precompute_neighbours else None
-        if csr is not None:
-            group_of, nbr_indptr, nbr_indices = csr
+        group_of, nbr_indptr, nbr_indices = _pass_neighbour_csr(index)
         point_distances = self._point_distances
         unique = np.unique
         argmin = np.argmin
@@ -521,11 +519,8 @@ class BaseLSHAcceleratedClustering(SpecAttributeSurface, EstimatorProtocol, abc.
         total_shortlist = 0
         n = X.shape[0]
         for i in range(n):
-            if csr is not None:
-                group = group_of[i]
-                neighbours = nbr_indices[nbr_indptr[group] : nbr_indptr[group + 1]]
-            else:
-                neighbours = index.candidate_items(i)
+            group = group_of[i]
+            neighbours = nbr_indices[nbr_indptr[group] : nbr_indptr[group + 1]]
             shortlist = unique(working[neighbours])
             total_shortlist += len(shortlist)
             distances = point_distances(X, i, centroids[shortlist])

@@ -482,9 +482,9 @@ class StreamingMHKModes(SpecAttributeSurface, EstimatorProtocol):
         fit and the streaming index (as in :class:`repro.core.MHKModes`).
         With ``train.update_refs='batch'`` the bootstrap runs the
         engine's vectorised batch passes on any backend; with
-        ``engine.n_shards > 1`` the insertable index is a
-        :class:`~repro.engine.ShardedClusteredLSHIndex` and streamed
-        arrivals are hashed into the shards round-robin.
+        ``engine.n_shards > 1`` the insertable index is built as a
+        :class:`~repro.engine.ShardedClusteredLSHIndex` (same runs,
+        same results).
     stream:
         :class:`~repro.api.StreamSpec` — how :meth:`extend` batches are
         ingested (hashing backend/workers and the chunk size bounding

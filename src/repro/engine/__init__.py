@@ -12,8 +12,8 @@ assignment — across workers, behind one seam:
   with an explicit lifetime shared by fit sessions and the serving
   layer (:mod:`repro.serve`);
 * :mod:`repro.engine.sharded_index` —
-  :class:`ShardedClusteredLSHIndex`, per-shard bucket tables whose
-  union reproduces the global index exactly (shard-count invariant);
+  :class:`ShardedClusteredLSHIndex`, a per-shard build whose sorted
+  runs merge into the global index's runs (shard-count invariant);
 * :mod:`repro.engine.parallel` — :class:`ClusteringEngine`, whose
   fit-lifetime session runs every phase — including the vectorised
   batch assignment pass — on one worker pool per fit.

@@ -12,7 +12,7 @@ exhaustive setup pass to the last iteration:
   has frozen any data-dependent encoding state (``_prepare_signatures``
   runs at session open, on the full matrix, so no chunk's local
   statistics can change the encoding);
-* **index build** — one bucket-run task per shard, assembled into a
+* **index build** — one sorted-run task per shard, merged into a
   :class:`~repro.engine.sharded_index.ShardedClusteredLSHIndex`;
 * **assignment passes** — the per-iteration hot loop.
 
@@ -242,26 +242,18 @@ def _assignment_chunk(
 # ----------------------------------------------------------------------
 
 
-def _pass_neighbour_csr(
-    index: AnyIndex, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(group_of, indptr, indices)`` CSR the batch kernels walk.
+def _pass_neighbour_csr(index: AnyIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(group_of, indptr, indices)`` CSR the assignment passes walk.
 
     Precomputed neighbours come straight from the index's group-level
     storage (:meth:`~repro.lsh.index.BaseClusteredIndex.neighbour_csr`)
     — zero copies, and the grouping's O(n) guarantee on
-    duplicate-heavy data carries into the batch pass.  Without
-    precomputation the lists are materialised once per fit with
-    identity groups.
+    duplicate-heavy data carries into the pass.  Without precomputation
+    (an insertable streaming index) the same arrays are derived from
+    the index's sorted runs once per fit.
     """
-    csr = index.neighbour_csr() if index.precompute_neighbours else None
-    if csr is not None:
-        return csr
-    per_item = [index.candidate_items(i) for i in range(n)]
-    lengths = np.fromiter((len(nb) for nb in per_item), dtype=np.int64, count=n)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    indices = np.concatenate(per_item) if n else np.empty(0, dtype=np.int64)
-    return np.arange(n, dtype=np.int64), indptr, indices
+    csr = index.neighbour_csr()
+    return csr if csr is not None else index.derive_neighbour_csr()
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +309,7 @@ class _SerialFitSession:
                 self._X, centroids, labels, self._index, accumulator
             )
         if self._csr is None:
-            self._csr = _pass_neighbour_csr(self._index, self._X.shape[0])
+            self._csr = _pass_neighbour_csr(self._index)
         n = self._X.shape[0]
         out, moves, total, smax = _assignment_chunk(
             (model, self._X), (centroids, labels, self._csr), (0, n)
@@ -384,7 +376,7 @@ class _ParallelFitSession:
         band_keys = compute_band_keys(signatures, model.bands, model.rows)
         spans = chunk_ranges(self._n, shards)
         runs = self._pool.run(
-            _build_shard_tables, spans, dynamic=(band_keys, model.bands)
+            _build_shard_tables, spans, dynamic=band_keys
         )
         self._index = ShardedClusteredLSHIndex.from_shard_runs(
             model.bands,
@@ -400,7 +392,7 @@ class _ParallelFitSession:
     def run_pass(self, centroids, labels, accumulator) -> tuple[np.ndarray, int]:
         assert self._index is not None, "build_index must run before passes"
         if self._csr is None:
-            self._csr = _pass_neighbour_csr(self._index, self._n)
+            self._csr = _pass_neighbour_csr(self._index)
         spans = chunk_ranges(self._n, self._backend.n_jobs)
         results = self._pool.run(
             _assignment_chunk, spans, dynamic=(centroids, labels, self._csr)

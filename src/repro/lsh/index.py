@@ -4,10 +4,19 @@ This is the data structure at the heart of the paper's framework: a
 banded LSH index over *items* in which every item carries a mutable
 reference to the cluster it is currently assigned to.
 
+Storage is array-native: a short list of *sorted runs*, each covering
+one span of items.  A run is a pair of flat arrays over every band's
+bucket keys of its items: ``keys`` (``uint64``, ascending) and
+``entries`` (``int64``, ``item * bands + band`` at the same position,
+ascending among equal keys).  A bucket — one key in one band — is the
+union of its key's slices over the runs, restricted to that band's
+entries.  Keys are seeded per band, so a key practically never occurs
+in two bands, but the band check keeps results exact regardless.
+
 Build phase (run once, after centroid initialisation):
 
 1. every item's signature is banded into ``b`` bucket keys;
-2. per band, a hash table maps bucket key → the array of member items;
+2. all of the items' keys are sorted into one run;
 3. optionally, each item's static *neighbour list* — the union of its
    buckets' members — is precomputed, because buckets never change
    after the build.  Neighbour lists are stored as one flat CSR pair
@@ -18,12 +27,17 @@ Build phase (run once, after centroid initialisation):
    flat layout keeps the per-iteration hot loop free of Python-object
    traffic.
 
-Query phase (run once per item per iteration):
+Query phase (run once per item per iteration, or per predicted row):
 
 * :meth:`BaseClusteredIndex.candidate_clusters` returns the distinct
   clusters currently holding the item's neighbours.  This is the
   paper's *shortlist*.  Because an item always collides with itself,
   the shortlist always contains the item's own current cluster.
+* Novel signatures are answered in batches: one pair of
+  ``np.searchsorted`` calls per run locates the bucket slices of every
+  query row and band, one ragged gather per run collects their
+  members, and one segmented ``np.unique`` deduplicates each row's
+  clusters.
 
 Update phase (after each reassignment):
 
@@ -31,12 +45,10 @@ Update phase (after each reassignment):
   the assignment array — the O(1) "update the cluster reference" step
   the paper highlights.
 
-:class:`BaseClusteredIndex` owns every piece of this surface that does
-not depend on how bucket tables are laid out; the unsharded
-:class:`ClusteredLSHIndex` here and the engine's
-:class:`~repro.engine.sharded_index.ShardedClusteredLSHIndex` differ
-only in their table layout hooks, so the assignment/insert/query
-semantics cannot drift between them.
+Streaming inserts (the paper's Further Work) add one new sorted run;
+runs are merged geometrically, LSM style, so the index holds at most
+``log2(n) + 1`` runs and every item is re-sorted O(log n) times over
+the index's life.  A frozen index seals its run arrays.
 """
 
 from __future__ import annotations
@@ -53,12 +65,14 @@ __all__ = [
     "ClusteredLSHIndex",
     "IndexStats",
     "band_runs",
-    "tables_from_runs",
+    "merge_runs",
     "group_csr_from_runs",
 ]
 
-#: One span's per-band bucket runs: ``(bucket_keys, starts, order)``.
-BandRuns = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: One sorted run of an item span: ``(keys, entries)``, flat over every
+#: band, keys ascending and ``entries = item * bands + band`` ascending
+#: among equal keys.
+Run = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -92,101 +106,111 @@ class IndexStats:
 
 
 # ----------------------------------------------------------------------
-# shared build machinery (also used by the sharded index and the engine)
+# sorted-run machinery (also used by the sharded build and the engine)
 # ----------------------------------------------------------------------
 
 
-def band_runs(band_keys: np.ndarray, bands: int, start: int, stop: int) -> BandRuns:
-    """Sort one item span of the band-key matrix into bucket runs.
+def band_runs(band_keys: np.ndarray, start: int, stop: int) -> Run:
+    """Sort the bucket keys of items ``[start, stop)`` into one run.
 
-    Returns one compact ``(bucket_keys, starts, order)`` triple per
-    band — three arrays instead of one tiny array per bucket, so a
-    shard build returns O(bands) buffers, not O(buckets).
-    ``order`` holds *global* item ids (local argsort order plus the
-    span offset); :func:`tables_from_runs` slices it into the per-key
-    dict without copying.
+    Row-major flattening numbers the keys ``item * bands + band``
+    already, so the entries are a range; the stable sort keeps equal
+    keys in ascending entry order.
     """
-    local = band_keys[start:stop]
-    out: BandRuns = []
-    for j in range(bands):
-        order = np.argsort(local[:, j], kind="stable").astype(np.int64)
-        order += start
-        sorted_keys = band_keys[order, j]
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        starts = np.concatenate([[0], boundaries])
-        out.append((sorted_keys[starts], starts, order))
-    return out
+    keys = band_keys[start:stop].ravel()
+    order = np.argsort(keys, kind="stable")
+    bands = band_keys.shape[1]
+    return keys[order], np.arange(start * bands, stop * bands, dtype=np.int64)[order]
 
 
-def tables_from_runs(runs: BandRuns) -> list[dict[int, np.ndarray]]:
-    """Slice per-band bucket runs into key → members dicts (views)."""
-    tables: list[dict[int, np.ndarray]] = []
-    for bucket_keys, starts, order in runs:
-        ends = np.concatenate([starts[1:], [len(order)]])
-        tables.append(
-            {
-                int(key): order[s:e]
-                for key, s, e in zip(bucket_keys, starts, ends)
-            }
-        )
-    return tables
+def merge_runs(runs: list[Run]) -> Run:
+    """Merge runs into one; every item of a run must precede the next run's.
+
+    That precondition (shard spans in order, older LSM runs first) is
+    what keeps equal keys in ascending entry order after the stable sort.
+    """
+    if len(runs) == 1:
+        return runs[0]
+    keys = np.concatenate([keys for keys, _ in runs])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([entries for _, entries in runs])[order]
+
+
+def _run_hits(runs: list[Run], query_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(query row, bucket member)`` pair of a ``(q, bands)`` key block.
+
+    The ``q * bands`` needles are searched in ascending order, so
+    consecutive searches touch nearby cache lines.  Per run, one
+    ``searchsorted`` finds every needle's left bound, a second one the
+    right bounds of the needles that hit, and one ragged index gathers
+    the slices, keeping entries of the needle's own band.  A member
+    appears once per band it shares with the row, so callers
+    deduplicate.
+    """
+    bands = query_keys.shape[1]
+    needles = query_keys.ravel()  # needle r * bands + j: row r, band j
+    needle_of = np.argsort(needles)
+    needles = needles[needle_of]
+    row_parts: list[np.ndarray] = []
+    member_parts: list[np.ndarray] = []
+    for keys, entries in runs:
+        lo = keys.searchsorted(needles, side="left")
+        # most needles miss: find the right bounds of the hits only
+        found = np.flatnonzero(keys[np.minimum(lo, len(keys) - 1)] == needles)
+        if not len(found):
+            continue
+        lo = lo[found]
+        counts = keys.searchsorted(needles[found], side="right") - lo
+        first = np.cumsum(counts) - counts
+        hits = entries[
+            np.arange(int(counts.sum()), dtype=np.int64)
+            + np.repeat(lo - first, counts)
+        ]
+        owners = np.repeat(needle_of[found], counts)
+        same_band = hits % bands == owners % bands
+        member_parts.append(hits[same_band] // bands)
+        row_parts.append(owners[same_band] // bands)
+    if not member_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(row_parts), np.concatenate(member_parts)
+
+
+def _segmented_unique(
+    owner: np.ndarray, values: np.ndarray, n_owners: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``values`` per owner as a CSR pair ``(indptr, values)``.
+
+    One ``np.unique`` over ``owner * span + value`` keys sorts by owner
+    first, then by value.
+    """
+    indptr = np.zeros(n_owners + 1, dtype=np.int64)
+    if not len(values):
+        return indptr, np.empty(0, dtype=np.int64)
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    uniq = np.unique(owner * span + (values - low))
+    u_owner = uniq // span
+    np.cumsum(np.bincount(u_owner, minlength=n_owners), out=indptr[1:])
+    return indptr, uniq - u_owner * span + low
 
 
 def group_csr_from_runs(
-    unique_rows: np.ndarray,
-    span_runs: list[BandRuns],
-    n_items: int,
+    unique_rows: np.ndarray, runs: list[Run]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialise every group's neighbour list as one flat CSR pair.
 
-    Per span and band, each group's bucket is located with one
-    ``searchsorted`` against the sorted bucket keys and gathered as a
-    run of the band's order array; the runs of all bands and spans are
-    deduplicated per group with a single segmented ``np.unique`` over
-    ``group * n_items + member`` keys.  No per-group Python work — this
-    is what makes index construction fast at scale regardless of the
-    backend.
+    ``unique_rows`` holds one band-key row per group and ``runs`` the
+    index's runs.  Each group's buckets are gathered from every
+    run at once (:func:`_run_hits`) and deduplicated with a single
+    segmented ``np.unique`` — no per-group Python work, which is what
+    keeps index construction fast at scale.
 
     Returns ``(indptr, indices)`` where group ``g``'s sorted distinct
     neighbours are ``indices[indptr[g]:indptr[g + 1]]``.
     """
-    n_groups = len(unique_rows)
-    member_parts: list[np.ndarray] = []
-    group_parts: list[np.ndarray] = []
-    group_ids = np.arange(n_groups, dtype=np.int64)
-    for runs in span_runs:
-        for j, (bucket_keys, starts, order) in enumerate(runs):
-            ends = np.concatenate([starts[1:], [len(order)]])
-            pos = np.searchsorted(bucket_keys, unique_rows[:, j])
-            found = np.flatnonzero(
-                (pos < len(bucket_keys))
-                & (bucket_keys[np.minimum(pos, len(bucket_keys) - 1)]
-                   == unique_rows[:, j])
-            )
-            if not len(found):
-                continue
-            run_starts = starts[pos[found]]
-            run_lengths = ends[pos[found]] - run_starts
-            total = int(run_lengths.sum())
-            # gather all runs at once: order[start_g + offset] for every
-            # offset in [0, length_g)
-            bases = np.repeat(run_starts, run_lengths)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(run_lengths) - run_lengths, run_lengths
-            )
-            member_parts.append(order[bases + offsets])
-            group_parts.append(np.repeat(group_ids[found], run_lengths))
-    if not member_parts:
-        return np.zeros(n_groups + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    members = np.concatenate(member_parts)
-    groups = np.concatenate(group_parts)
-    uniq = np.unique(groups * n_items + members)
-    u_group = uniq // n_items
-    u_member = uniq - u_group * n_items
-    lengths = np.bincount(u_group, minlength=n_groups)
-    indptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr, u_member
+    groups, members = _run_hits(runs, unique_rows)
+    return _segmented_unique(groups, members, len(unique_rows))
 
 
 # ----------------------------------------------------------------------
@@ -195,20 +219,19 @@ def group_csr_from_runs(
 
 
 class BaseClusteredIndex:
-    """Everything two clustered-index layouts must agree on.
+    """The clustered index over sorted runs of bucket keys.
 
-    Subclasses supply the bucket-table layout through three hooks —
-    :meth:`_is_built`, :meth:`_bucket_hits` and
-    :meth:`_insert_into_buckets` (plus :meth:`_bucket_sizes` for
-    diagnostics) — and inherit identical build validation, item
-    storage, queries, assignment updates, amortised insertion and
-    statistics, so the unsharded and sharded indexes cannot drift.
+    Owns build validation, item storage, queries, assignment updates,
+    streaming insertion and statistics.  :class:`ClusteredLSHIndex`
+    and the engine's
+    :class:`~repro.engine.sharded_index.ShardedClusteredLSHIndex`
+    differ only in how the build computes its first runs, so their
+    query results cannot differ.
 
-    Item storage uses amortised doubling buffers: band keys and
-    assignments live in capacity arrays trimmed to the logical item
-    count, so a stream of :meth:`insert` calls costs O(1) amortised
-    per item instead of the O(n) reallocation a ``vstack`` per insert
-    would pay.
+    Band keys and assignments live in capacity arrays trimmed to the
+    logical item count, grown by doubling, so a stream of inserts costs
+    O(1) amortised per item for item storage; bucket membership grows
+    through the geometric run merges described in the module docstring.
     """
 
     def __init__(self, bands: int, rows: int, precompute_neighbours: bool = True):
@@ -219,40 +242,11 @@ class BaseClusteredIndex:
         self._keys_buf: np.ndarray | None = None  # (capacity, bands) uint64
         self._assign_buf: np.ndarray | None = None  # (capacity,) int64
         self._n = 0
+        self._runs: list[Run] | None = None  # oldest run first
         self._read_only = False
         self._group_of: np.ndarray | None = None
         self._nbr_indptr: np.ndarray | None = None
         self._nbr_indices: np.ndarray | None = None
-
-    # -- layout hooks ----------------------------------------------------
-
-    def _is_built(self) -> bool:
-        """Whether the bucket tables exist."""
-        raise NotImplementedError
-
-    def _bucket_hits(self, keys: np.ndarray) -> list[np.ndarray]:
-        """All bucket member arrays matching a ``(bands,)`` key row."""
-        raise NotImplementedError
-
-    def _insert_into_buckets(self, keys: np.ndarray, item: int) -> None:
-        """Hash one new item into the layout's bucket tables."""
-        raise NotImplementedError
-
-    def _insert_many_into_buckets(
-        self, keys: np.ndarray, items: np.ndarray
-    ) -> None:
-        """Hash a batch of new items into the layout's bucket tables.
-
-        The generic fallback loops :meth:`_insert_into_buckets`; both
-        concrete layouts override with the vectorised per-band run
-        appends of :meth:`_append_key_runs`.
-        """
-        for key_row, item in zip(keys, items):
-            self._insert_into_buckets(key_row, int(item))
-
-    def _bucket_sizes(self) -> np.ndarray:
-        """Logical member count of every non-empty bucket."""
-        raise NotImplementedError
 
     # -- shared build plumbing -------------------------------------------
 
@@ -273,21 +267,41 @@ class BaseClusteredIndex:
             raise DataValidationError("cannot build an index over zero items")
         return assignments
 
-    def _store_items(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
-        """Initialise the doubling buffers from a freshly built matrix."""
+    @classmethod
+    def _validated_band_keys(
+        cls, bands: int, band_keys: np.ndarray, assignments: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shape-check persisted ``(n, bands)`` keys and their assignments."""
+        band_keys = np.asarray(band_keys)
+        if band_keys.ndim != 2 or band_keys.shape[1] != bands:
+            raise DataValidationError(
+                f"band_keys must be (n_items, {bands}), got shape "
+                f"{band_keys.shape}"
+            )
+        assignments = cls._validated_assignments(
+            len(band_keys), assignments, "key rows"
+        )
+        return band_keys.astype(np.uint64, copy=False), assignments
+
+    def _finalise(
+        self,
+        band_keys: np.ndarray,
+        assignments: np.ndarray,
+        run: Run | None = None,
+    ) -> None:
+        """Store the items and their first run (sorted here if absent)."""
         self._keys_buf = np.ascontiguousarray(band_keys, dtype=np.uint64)
         self._assign_buf = assignments.astype(np.int64).copy()
         self._n = len(band_keys)
-
-    def _store_neighbours(
-        self, band_keys: np.ndarray, span_runs: list[BandRuns]
-    ) -> None:
-        """Group identical band-key rows and build the neighbour CSR."""
-        unique_rows, group_of = np.unique(band_keys, axis=0, return_inverse=True)
-        self._group_of = group_of.astype(np.int64).ravel()
-        self._nbr_indptr, self._nbr_indices = group_csr_from_runs(
-            unique_rows, span_runs, len(band_keys)
-        )
+        if run is None:
+            run = band_runs(self._keys_buf, 0, self._n)
+        self._runs = [run]
+        if self.precompute_neighbours:
+            (
+                self._group_of,
+                self._nbr_indptr,
+                self._nbr_indices,
+            ) = self.derive_neighbour_csr()
 
     # -- queries ---------------------------------------------------------
 
@@ -300,8 +314,9 @@ class BaseClusteredIndex:
             return self._nbr_indices[
                 self._nbr_indptr[group] : self._nbr_indptr[group + 1]
             ]
-        assert self._keys_buf is not None
-        return np.unique(np.concatenate(self._bucket_hits(self._keys_buf[item])))
+        assert self._runs is not None
+        _, members = _run_hits(self._runs, self.band_keys[item][None, :])
+        return np.unique(members)
 
     def candidate_clusters(self, item: int) -> np.ndarray:
         """The paper's shortlist: distinct clusters of the item's neighbours."""
@@ -317,15 +332,13 @@ class BaseClusteredIndex:
         signature collides with nothing.
         """
         self._check_built()
-        assert self._assign_buf is not None
+        assert self._assign_buf is not None and self._runs is not None
         signature = np.asarray(signature)
         if signature.ndim == 1:
             signature = signature[None, :]
-        keys = compute_band_keys(signature, self.bands, self.rows)[0]
-        hits = self._bucket_hits(keys)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self._assign_buf[: self._n][np.concatenate(hits)])
+        keys = compute_band_keys(signature, self.bands, self.rows)[:1]
+        _, members = _run_hits(self._runs, keys)
+        return np.unique(self._assign_buf[: self._n][members])
 
     def shortlists_for_signatures(
         self, signatures: np.ndarray
@@ -333,8 +346,9 @@ class BaseClusteredIndex:
         """Batched :meth:`candidate_clusters_for_signature` as a CSR pair.
 
         Band keys for every query row are computed in one call, bucket
-        hits are gathered per row, and the per-row deduplication runs
-        as a single segmented ``np.unique`` over the whole batch.
+        members are gathered for the whole batch per run, and
+        the per-row deduplication runs as a single segmented
+        ``np.unique``.
 
         Returns ``(indptr, clusters)``: row ``r``'s sorted distinct
         candidate clusters are ``clusters[indptr[r]:indptr[r + 1]]``
@@ -342,38 +356,18 @@ class BaseClusteredIndex:
         row for row identical to the per-signature method.
         """
         self._check_built()
-        assert self._assign_buf is not None
+        assert self._assign_buf is not None and self._runs is not None
         signatures = np.asarray(signatures)
         if signatures.ndim != 2:
             raise DataValidationError(
                 f"signatures must be 2-D, got ndim={signatures.ndim}"
             )
         n_rows = len(signatures)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
         if n_rows == 0:
-            return indptr, np.empty(0, dtype=np.int64)
+            return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
         keys = compute_band_keys(signatures, self.bands, self.rows)
-        member_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        for row in range(n_rows):
-            hits = self._bucket_hits(keys[row])
-            if hits:
-                members = np.concatenate(hits)
-                member_parts.append(members)
-                row_parts.append(np.full(len(members), row, dtype=np.int64))
-        if not member_parts:
-            return indptr, np.empty(0, dtype=np.int64)
-        members = np.concatenate(member_parts)
-        rows_idx = np.concatenate(row_parts)
-        clusters = self._assign_buf[: self._n][members]
-        low = int(clusters.min())
-        span = int(clusters.max()) - low + 1
-        uniq = np.unique(rows_idx * span + (clusters - low))
-        u_row = uniq // span
-        u_cluster = uniq - u_row * span + low
-        counts = np.bincount(u_row, minlength=n_rows)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, u_cluster
+        rows, members = _run_hits(self._runs, keys)
+        return _segmented_unique(rows, self._assign_buf[: self._n][members], n_rows)
 
     def neighbour_csr(
         self,
@@ -384,13 +378,30 @@ class BaseClusteredIndex:
         ``indices[indptr[group_of[i]]:indptr[group_of[i] + 1]]``; items
         with identical band-key rows share one list.  Returns ``None``
         when the index was built with ``precompute_neighbours=False``;
-        callers must then go through :meth:`candidate_items`.
+        :meth:`derive_neighbour_csr` then computes the same arrays on
+        demand.
         """
         self._check_built()
         if self._nbr_indptr is None:
             return None
         assert self._group_of is not None and self._nbr_indices is not None
         return self._group_of, self._nbr_indptr, self._nbr_indices
+
+    def derive_neighbour_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(group_of, indptr, indices)`` CSR of the current buckets.
+
+        Groups identical band-key rows and gathers every group's
+        neighbours in one :func:`group_csr_from_runs` call.  On an
+        insertable index the result is a snapshot: later inserts do
+        not show in it.
+        """
+        self._check_built()
+        assert self._runs is not None
+        unique_rows, group_of = np.unique(
+            self.band_keys, axis=0, return_inverse=True
+        )
+        indptr, indices = group_csr_from_runs(unique_rows, self._runs)
+        return group_of.astype(np.int64).ravel(), indptr, indices
 
     def neighbour_groups(self) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """Grouped neighbour lists: ``(group_of, group_neighbours)``.
@@ -421,8 +432,8 @@ class BaseClusteredIndex:
 
         A frozen index rejects every mutation — :meth:`insert`,
         :meth:`update_assignment`, :meth:`set_assignments`,
-        :meth:`assignments_view` — and marks its item buffers
-        non-writable, so any number of threads can query it
+        :meth:`assignments_view` — and marks its item buffers and run
+        arrays non-writable, so any number of threads can query it
         concurrently without a lock.  This is the
         mode :class:`repro.serve.ModelServer` rebuilds persisted
         indexes into; training always works on unfrozen indexes.
@@ -431,12 +442,16 @@ class BaseClusteredIndex:
         if self._read_only:
             return self
         assert self._keys_buf is not None and self._assign_buf is not None
+        assert self._runs is not None
         # Trim the growth buffers to the logical item count so the
-        # frozen views are exact, then seal them.
+        # frozen views are exact, then seal them and every run.
         self._keys_buf = self._keys_buf[: self._n]
         self._assign_buf = self._assign_buf[: self._n]
-        self._keys_buf.setflags(write=False)
-        self._assign_buf.setflags(write=False)
+        sealed = [self._keys_buf, self._assign_buf]
+        for run in self._runs:
+            sealed += run
+        for array in sealed:
+            array.setflags(write=False)
         self._read_only = True
         return self
 
@@ -457,9 +472,7 @@ class BaseClusteredIndex:
         their cluster reference, making them visible to subsequent
         queries.  Requires ``precompute_neighbours=False`` — grouped
         neighbour lists are frozen at build time and cannot absorb
-        inserts.  Band keys, assignments and bucket membership all
-        grow through amortised doubling buffers, so a bootstrap that
-        streams thousands of items in stays linear.
+        inserts.
 
         Parameters
         ----------
@@ -468,27 +481,14 @@ class BaseClusteredIndex:
         cluster:
             The cluster reference to store for it.
         """
-        self._check_built()
-        self._check_mutable("insert")
-        if self._nbr_indptr is not None:
-            raise ConfigurationError(
-                "insert requires precompute_neighbours=False; grouped "
-                "neighbour lists cannot absorb new items"
-            )
-        assert self._keys_buf is not None and self._assign_buf is not None
+        self._check_insertable("insert")
         signature = np.asarray(signature)
         if signature.ndim != 1:
             raise DataValidationError(
                 f"signature must be 1-D, got ndim={signature.ndim}"
             )
-        keys = compute_band_keys(signature[None, :], self.bands, self.rows)[0]
-        item = self._n
-        self._ensure_item_capacity(item + 1)
-        self._keys_buf[item] = keys
-        self._assign_buf[item] = np.int64(cluster)
-        self._n = item + 1
-        self._insert_into_buckets(keys, item)
-        return item
+        keys = compute_band_keys(signature[None, :], self.bands, self.rows)
+        return int(self._append_items(keys, np.array([cluster], dtype=np.int64))[0])
 
     def insert_batch(
         self,
@@ -499,13 +499,10 @@ class BaseClusteredIndex:
         """Add a whole chunk of new items at once; returns their item ids.
 
         Row-for-row equivalent to calling :meth:`insert` on each
-        ``(signature, cluster)`` pair in order, but amortised three
-        ways: band keys for the chunk are computed in **one**
-        :func:`~repro.lsh.bands.compute_band_keys` call, the doubling
-        buffers grow to the final size in one step, and bucket
-        membership is appended as per-band *runs* (one dict touch per
-        distinct bucket key in the chunk, not one per item) through
-        :meth:`_insert_many_into_buckets`.  This is the bulk-ingest
+        ``(signature, cluster)`` pair in order: band keys for the chunk
+        are computed in **one**
+        :func:`~repro.lsh.bands.compute_band_keys` call and the chunk
+        becomes one new sorted run.  This is the bulk-ingest
         path of the streaming extension.
 
         Parameters
@@ -519,14 +516,7 @@ class BaseClusteredIndex:
             same signatures (callers that already banded the chunk —
             the streaming collision walk does — skip the rehash).
         """
-        self._check_built()
-        self._check_mutable("insert_batch")
-        if self._nbr_indptr is not None:
-            raise ConfigurationError(
-                "insert_batch requires precompute_neighbours=False; grouped "
-                "neighbour lists cannot absorb new items"
-            )
-        assert self._keys_buf is not None and self._assign_buf is not None
+        self._check_insertable("insert_batch")
         clusters = np.asarray(clusters, dtype=np.int64)
         if clusters.ndim != 1:
             raise DataValidationError(
@@ -558,15 +548,37 @@ class BaseClusteredIndex:
                 )
             if len(clusters) == 0:
                 return np.empty(0, dtype=np.int64)
-        n_new = len(clusters)
-        start = self._n
-        items = np.arange(start, start + n_new, dtype=np.int64)
-        self._ensure_item_capacity(start + n_new)
-        self._keys_buf[start : start + n_new] = keys
-        self._assign_buf[start : start + n_new] = clusters
-        self._n = start + n_new
-        self._insert_many_into_buckets(keys, items)
-        return items
+        return self._append_items(keys, clusters)
+
+    def _check_insertable(self, what: str) -> None:
+        self._check_built()
+        self._check_mutable(what)
+        if self._nbr_indptr is not None:
+            raise ConfigurationError(
+                f"{what} requires precompute_neighbours=False; grouped "
+                "neighbour lists cannot absorb new items"
+            )
+
+    def _append_items(self, keys: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+        """Store a non-empty chunk and add it as one new run.
+
+        After the append, the newest runs merge while a run is less
+        than twice the size of its successor, so run sizes at least
+        halve from oldest to newest and the index holds at most
+        ``log2(n) + 1`` runs.
+        """
+        assert self._keys_buf is not None and self._assign_buf is not None
+        assert self._runs is not None
+        start, stop = self._n, self._n + len(clusters)
+        self._ensure_item_capacity(stop)
+        self._keys_buf[start:stop] = keys
+        self._assign_buf[start:stop] = clusters
+        self._n = stop
+        runs = self._runs
+        runs.append(band_runs(self._keys_buf, start, stop))
+        while len(runs) > 1 and len(runs[-2][0]) < 2 * len(runs[-1][0]):
+            runs[-2:] = [merge_runs(runs[-2:])]
+        return np.arange(start, stop, dtype=np.int64)
 
     def _ensure_item_capacity(self, target: int) -> None:
         """Grow the doubling item buffers to hold ``target`` items."""
@@ -584,104 +596,6 @@ class BaseClusteredIndex:
         assign_buf = np.empty(new_capacity, dtype=np.int64)
         assign_buf[:used] = self._assign_buf[:used]
         self._assign_buf = assign_buf
-
-    @staticmethod
-    def _bucket_append(
-        table: dict[int, np.ndarray], fill: dict[int, int], key: int, item: int
-    ) -> None:
-        """Append one member to a bucket with geometric over-allocation.
-
-        ``fill`` records the logical length of buckets whose array has
-        spare capacity; buckets untouched by insertion stay exact-size
-        views from the build and never appear in ``fill``.
-        """
-        members = table.get(key)
-        if members is None:
-            buf = np.empty(4, dtype=np.int64)
-            buf[0] = item
-            table[key] = buf
-            fill[key] = 1
-            return
-        used = fill.get(key, len(members))
-        if used == len(members):
-            buf = np.empty(max(4, 2 * used), dtype=np.int64)
-            buf[:used] = members[:used]
-            table[key] = buf
-            members = buf
-        members[used] = item
-        fill[key] = used + 1
-
-    @staticmethod
-    def _bucket_append_run(
-        table: dict[int, np.ndarray],
-        fill: dict[int, int],
-        key: int,
-        run: np.ndarray,
-    ) -> None:
-        """Append a whole run of members to one bucket in one step.
-
-        The batched counterpart of :meth:`_bucket_append`: capacity
-        grows at most once per call and the run is copied in with one
-        slice assignment.  Logical bucket contents end up identical to
-        appending the run's members one by one.
-        """
-        count = len(run)
-        members = table.get(key)
-        if members is None:
-            buf = np.empty(max(4, count), dtype=np.int64)
-            buf[:count] = run
-            table[key] = buf
-            fill[key] = count
-            return
-        used = fill.get(key, len(members))
-        need = used + count
-        if need > len(members):
-            buf = np.empty(max(4, 2 * used, need), dtype=np.int64)
-            buf[:used] = members[:used]
-            table[key] = buf
-            members = buf
-        members[used:need] = run
-        fill[key] = need
-
-    @classmethod
-    def _append_key_runs(
-        cls,
-        tables: list[dict[int, np.ndarray]],
-        fills: list[dict[int, int]],
-        keys: np.ndarray,
-        items: np.ndarray,
-    ) -> None:
-        """Bulk-insert ``items`` into per-band bucket tables.
-
-        Per band, the chunk's keys are sorted once and each distinct
-        bucket receives its members as a single run — O(distinct keys)
-        dict operations per band instead of O(items).  Within a bucket
-        members keep ascending item order, matching what sequential
-        appends would produce.
-        """
-        for j in range(len(tables)):
-            column = keys[:, j]
-            order = np.argsort(column, kind="stable")
-            sorted_keys = column[order]
-            boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.append(boundaries, len(order))
-            run_items = items[order]
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                cls._bucket_append_run(
-                    tables[j], fills[j], int(sorted_keys[s]), run_items[s:e]
-                )
-
-    @staticmethod
-    def _bucket_members(
-        table: dict[int, np.ndarray], fill: dict[int, int], key: int
-    ) -> np.ndarray | None:
-        """A bucket's logical members (``None`` for an absent key)."""
-        members = table.get(key)
-        if members is None:
-            return None
-        used = fill.get(key)
-        return members if used is None else members[:used]
 
     # -- cluster-reference updates ---------------------------------------
 
@@ -748,7 +662,14 @@ class BaseClusteredIndex:
     def stats(self) -> IndexStats:
         """Bucket- and neighbour-level summary statistics."""
         self._check_built()
-        sizes = self._bucket_sizes()
+        assert self._runs is not None
+        keys = np.concatenate([keys for keys, _ in self._runs])
+        band = np.concatenate([entries for _, entries in self._runs]) % self.bands
+        order = np.lexsort((keys, band))
+        keys, band = keys[order], band[order]
+        fresh = np.ones(len(keys), dtype=bool)  # first member of a bucket
+        fresh[1:] = (keys[1:] != keys[:-1]) | (band[1:] != band[:-1])
+        sizes = np.diff(np.append(np.flatnonzero(fresh), len(keys)))
         if self._nbr_indptr is not None:
             assert self._group_of is not None
             lengths = np.diff(self._nbr_indptr)
@@ -760,13 +681,13 @@ class BaseClusteredIndex:
             bands=self.bands,
             rows=self.rows,
             n_buckets=int(len(sizes)),
-            mean_bucket_size=float(sizes.mean()) if sizes.size else 0.0,
-            max_bucket_size=int(sizes.max()) if sizes.size else 0,
+            mean_bucket_size=float(sizes.mean()),
+            max_bucket_size=int(sizes.max()),
             mean_neighbours=mean_nb,
         )
 
     def _check_built(self) -> None:
-        if not self._is_built():
+        if self._runs is None:
             raise NotFittedError(
                 "index not built; call build(signatures, assignments) first"
             )
@@ -779,6 +700,9 @@ class BaseClusteredIndex:
 
 class ClusteredLSHIndex(BaseClusteredIndex):
     """Banded LSH index whose entries carry mutable cluster references.
+
+    Bucket keys are kept as sorted ``(keys, entries)`` runs (see the
+    module docstring); a bucket is one key's slice of every run.
 
     Parameters
     ----------
@@ -805,15 +729,6 @@ class ClusteredLSHIndex(BaseClusteredIndex):
     [0, 1]
     """
 
-    def __init__(self, bands: int, rows: int, precompute_neighbours: bool = True):
-        super().__init__(bands, rows, precompute_neighbours)
-        self._tables: list[dict[int, np.ndarray]] | None = None
-        self._fill: list[dict[int, int]] | None = None
-
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
-
     def build(self, signatures: np.ndarray, assignments: np.ndarray) -> "ClusteredLSHIndex":
         """Index every item once (the single pass of Algorithm 2).
 
@@ -830,8 +745,9 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         assignments = self._validated_assignments(
             len(signatures), assignments, "signatures"
         )
-        band_keys = compute_band_keys(signatures, self.bands, self.rows)
-        self._finalise(band_keys, assignments)
+        self._finalise(
+            compute_band_keys(signatures, self.bands, self.rows), assignments
+        )
         return self
 
     @classmethod
@@ -850,70 +766,15 @@ class ClusteredLSHIndex(BaseClusteredIndex):
         to reconstruct its index — CSR neighbour storage included —
         exactly; see :func:`repro.data.io.save_model`.
         """
-        band_keys = np.asarray(band_keys)
-        if band_keys.ndim != 2 or band_keys.shape[1] != bands:
-            raise DataValidationError(
-                f"band_keys must be (n_items, {bands}), got shape "
-                f"{band_keys.shape}"
-            )
-        assignments = cls._validated_assignments(
-            len(band_keys), assignments, "key rows"
+        band_keys, assignments = cls._validated_band_keys(
+            bands, band_keys, assignments
         )
         index = cls(bands, rows, precompute_neighbours=precompute_neighbours)
-        index._finalise(band_keys.astype(np.uint64, copy=False), assignments)
+        index._finalise(band_keys, assignments)
         return index
-
-    def _finalise(self, band_keys: np.ndarray, assignments: np.ndarray) -> None:
-        """Common tail of :meth:`build` and :meth:`from_band_keys`."""
-        self._store_items(band_keys, assignments)
-        runs = band_runs(band_keys, self.bands, 0, len(band_keys))
-        self._tables = tables_from_runs(runs)
-        self._fill = [{} for _ in range(self.bands)]
-        if self.precompute_neighbours:
-            self._store_neighbours(band_keys, [runs])
-
-    # ------------------------------------------------------------------
-    # layout hooks
-    # ------------------------------------------------------------------
-
-    def _is_built(self) -> bool:
-        return self._tables is not None
-
-    def _bucket_hits(self, keys: np.ndarray) -> list[np.ndarray]:
-        assert self._tables is not None and self._fill is not None
-        hits: list[np.ndarray] = []
-        for j in range(self.bands):
-            members = self._bucket_members(
-                self._tables[j], self._fill[j], int(keys[j])
-            )
-            if members is not None:
-                hits.append(members)
-        return hits
-
-    def _insert_into_buckets(self, keys: np.ndarray, item: int) -> None:
-        assert self._tables is not None and self._fill is not None
-        for j in range(self.bands):
-            self._bucket_append(self._tables[j], self._fill[j], int(keys[j]), item)
-
-    def _insert_many_into_buckets(
-        self, keys: np.ndarray, items: np.ndarray
-    ) -> None:
-        assert self._tables is not None and self._fill is not None
-        self._append_key_runs(self._tables, self._fill, keys, items)
-
-    def _bucket_sizes(self) -> np.ndarray:
-        assert self._tables is not None and self._fill is not None
-        return np.array(
-            [
-                len(self._bucket_members(table, fill, key))
-                for table, fill in zip(self._tables, self._fill)
-                for key in table
-            ],
-            dtype=np.int64,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ClusteredLSHIndex(bands={self.bands}, rows={self.rows}, "
-            f"built={self._is_built()})"
+            f"built={self._runs is not None})"
         )
